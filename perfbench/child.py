@@ -7,8 +7,9 @@ Usage (``run.py`` starts it; it is not meant to be run by hand)::
 
 Untimed set-up (imports, backend check) happens before the first pass.
 Timed mode starts passes until the next one would end after ``--seconds``
-(at least one, or exactly ``--passes``).  Traced mode runs one pass under
-:class:`tracer.Tracer` and reports the per-layer metrics it recorded.
+(at least one, or exactly ``--passes``), and can sample the host's speed
+with :mod:`reference` all through them.  Traced mode runs one pass under :class:`tracer.Tracer` and reports the
+per-layer metrics it recorded.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
+import reference
 import tracer as tracing
 import workloads
 
@@ -48,15 +50,39 @@ def _peak_rss_mb(sweep: bool) -> float:
     return own / 1024.0
 
 
+#: Loop samples per process taken before each sweep pass and after the last.
+SWEEP_SAMPLES = 16
+
+
 def timed(args, workload, workdir: Path) -> dict:
+    """Time-boxed passes; with ``--reference-loop``, host-speed samples too.
+
+    A sequential cell and the loop alternate in this process, two loop
+    samples after every cell.  Sweep cells run in worker processes, one
+    per CPU, so around every sweep pass one loop per worker runs at once
+    in fresh interpreters.
+    """
+    sweep = workload.workers > 1
     clock = None
-    if workload.workers > 1:
+    if sweep:
         clock = tracing.CellClock(workdir)
         clock.install()
-    passes = []
+    passes, loop_s = [], []
+    workers = args.workers or workload.workers
+
+    def sample_cell():
+        loop_s.extend(reference.reference_loop())
+
+    def sample_workers():
+        if args.reference_loop and sweep:
+            loop_s.extend(reference.parallel_samples(workers, SWEEP_SAMPLES))
+
+    after_cell = sample_cell if args.reference_loop and not sweep else None
     start = time.perf_counter()
     while True:
-        result = workloads.run_pass(workload, args.seed, workdir, args.workers, clock)
+        sample_workers()
+        result = workloads.run_pass(workload, args.seed, workdir, args.workers, clock,
+                                    after_cell=after_cell)
         passes.append(asdict(result))
         if args.passes is not None:
             if len(passes) >= args.passes:
@@ -65,9 +91,11 @@ def timed(args, workload, workdir: Path) -> dict:
         elapsed = time.perf_counter() - start
         if elapsed + elapsed / len(passes) > args.seconds:
             break
+    sample_workers()
     if clock is not None:
         clock.restore()
-    return {"passes": passes, "peak_rss_mb": _peak_rss_mb(workload.workers > 1)}
+    return {"passes": passes, "reference_loop_s": loop_s,
+            "peak_rss_mb": _peak_rss_mb(sweep)}
 
 
 def traced(args, workload, workdir: Path) -> dict:
@@ -186,6 +214,8 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--traced", action="store_true")
+    parser.add_argument("--reference-loop", action="store_true",
+                        help="sample the host's speed all through the passes")
     parser.add_argument("--short", action="store_true")
     args = parser.parse_args(argv)
 

@@ -31,7 +31,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-import workloads  # noqa: E402  (sibling module, after the path insert)
+import reference  # noqa: E402  (sibling modules, after the path insert)
+import workloads  # noqa: E402
 
 END_TO_END = {
     "wall_s": "s",
@@ -154,16 +155,21 @@ def _wait_group(pgid: int, timeout: float = 10.0) -> None:
         time.sleep(0.01)
 
 
-def measure_setup(workload, runs: int) -> list[float]:
-    """Seconds for fresh interpreters to import, discover and resolve."""
+def measure_setup(workload, runs: int) -> tuple[list[float], list[float]]:
+    """Seconds for fresh interpreters to import, discover and resolve.
+
+    Returns the probe times and reference-loop samples taken in this
+    process after each probe.
+    """
     cmd = [sys.executable, "-c", SETUP_PROBE, *workload.scenarios]
     _run(cmd, "set-up probe")  # warm-up: byte-compiles a fresh checkout
-    samples = []
+    samples, loop_s = [], []
     for _ in range(runs):
         t0 = time.perf_counter()
         _run(cmd, "set-up probe")
         samples.append(time.perf_counter() - t0)
-    return samples
+        loop_s += reference.reference_loop()
+    return samples, loop_s
 
 
 def run_child(args, workdir: Path, tag: str, *extra) -> dict:
@@ -227,12 +233,34 @@ def provenance() -> dict:
     }
 
 
+def pass_seconds(passes: list, sequential: bool) -> float:
+    """The time of one pass, from every pass of a run.
+
+    A sequential pass runs the same cells in the same order each time, so
+    its time is the sum over cells of each cell's median across passes: a
+    burst of host load that slows one cell moves one sample of that cell,
+    not a whole pass.  Sweep cells finish in parallel workers in no fixed
+    order, so a sweep pass is timed whole and the median taken.
+    """
+    if not sequential:
+        return statistics.median(record["wall_s"] for record in passes)
+    per_cell = zip(*(record["cell_s"] for record in passes))
+    return sum(statistics.median(samples) for samples in per_cell)
+
+
 def end_to_end(args, workload, workdir: Path, verdict: Verdict, report: dict) -> dict:
-    setup = measure_setup(workload, 2 if args.short else 5)
-    child = run_child(args, workdir, "timed", "--seconds", str(args.seconds))
+    setup, setup_loop_s = measure_setup(workload, 2 if args.short else 5)
+    child = run_child(args, workdir, "timed", "--seconds", str(args.seconds),
+                      "--reference-loop")
     passes = child["passes"]
     for index, record in enumerate(passes):
         verdict.add_pass(record, f"pass{index}")
+    # Times are scaled to the reference host speed (see reference.py).
+    raw_wall = pass_seconds(passes, sequential=workload.workers == 1)
+    loop_s = statistics.median(child["reference_loop_s"])
+    wall = raw_wall * reference.REFERENCE_LOOP_S / loop_s
+    setup_s = (statistics.median(setup) * reference.REFERENCE_LOOP_S
+               / statistics.median(setup_loop_s))
     # Per-cell latency is reported but not bounded: a pass mixes a few
     # cell sizes, so its median and tail fall between clusters of cells
     # and move several times more from run to run than the pass time.
@@ -240,6 +268,8 @@ def end_to_end(args, workload, workdir: Path, verdict: Verdict, report: dict) ->
     report.update(
         backend=child["backend"], numpy=child["numpy"], passes=len(passes),
         setup_samples=setup, pass_wall_s=[record["wall_s"] for record in passes],
+        raw_wall_s=raw_wall, reference_loop_s=loop_s,
+        setup_reference_loop_s=statistics.median(setup_loop_s),
         cell_s={
             "p50": statistics.median(cells),
             "p90": statistics.quantiles(cells, n=10, method="inclusive")[8],
@@ -247,9 +277,9 @@ def end_to_end(args, workload, workdir: Path, verdict: Verdict, report: dict) ->
         },
     )
     return {
-        "wall_s": statistics.median(r["wall_s"] for r in passes),
-        "msgs_per_s": statistics.median(r["messages"] / r["wall_s"] for r in passes),
-        "setup_s": statistics.median(setup),
+        "wall_s": wall,
+        "msgs_per_s": statistics.median(r["messages"] for r in passes) / wall,
+        "setup_s": setup_s,
         "peak_rss_mb": child["peak_rss_mb"],
     }
 

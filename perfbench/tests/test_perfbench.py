@@ -55,6 +55,7 @@ def test_short_run_reports_every_end_to_end_metric(name):
     assert report["backend"] == "numpy" and report["seed"] == 3
     assert report["failed_frac"] == 0
     assert report["cell_s"]["samples"] > 0 and report["cell_s"]["p90"] >= report["cell_s"]["p50"] > 0
+    assert report["raw_wall_s"] > 0 and report["reference_loop_s"] > 0
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
@@ -84,6 +85,16 @@ def test_traced_counts_repeat_exactly():
     counts = [{k: m["value"] for k, m in r["metrics"].items() if m["unit"] == "count"}
               for r in runs]
     assert counts[0] == counts[1]
+
+
+def test_pass_seconds_sums_per_cell_medians_of_sequential_passes():
+    passes = [
+        {"wall_s": 3.0, "cell_s": [1.0, 2.0]},
+        {"wall_s": 11.0, "cell_s": [9.0, 2.0]},  # a burst of host load in one cell
+        {"wall_s": 3.3, "cell_s": [1.2, 2.1]},
+    ]
+    assert run.pass_seconds(passes, sequential=True) == pytest.approx(1.2 + 2.0)
+    assert run.pass_seconds(passes, sequential=False) == pytest.approx(3.3)
 
 
 def test_seed_shifts_the_rows_of_random_graph_scenarios():

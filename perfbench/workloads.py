@@ -122,14 +122,15 @@ def cell_id(name: str, n: int, seed: int) -> str:
 
 
 def run_pass(workload: Workload, seed: int, workdir: Path, workers: int | None = None,
-             cell_clock=None, tracer=None) -> PassResult:
+             cell_clock=None, tracer=None, after_cell=None) -> PassResult:
     """Run every cell of ``workload`` once and time it.
 
     Graph caches are dropped first, so each pass builds its own graphs.
     ``workers`` overrides the workload's worker count (the sweep's
     ``workers=1`` identity pass).  ``cell_clock`` collects per-cell times
     from sweep workers (see :class:`tracer.CellClock`); ``tracer`` wraps
-    each sequential cell in a span.
+    each sequential cell in a span; ``after_cell`` is called after each
+    sequential cell, outside its time.
     """
     from repro.sim import experiments
     from repro.sim.kernels import use_backend
@@ -153,6 +154,8 @@ def run_pass(workload: Workload, seed: int, workdir: Path, workers: int | None =
                 continue
             finally:
                 cell_s.append(time.perf_counter() - t0)
+                if after_cell is not None:
+                    after_cell()
             rows[key] = row_bytes(row)
             messages += row["messages"]
     return PassResult(time.perf_counter() - start, messages, cell_s, rows, failed)
