@@ -52,9 +52,7 @@ class IndexedGraph:
         "num_nodes",
         "num_edges",
         "_node_views",
-        "_port_pairs",
         "_port_src_labels",
-        "_broadcast_views",
         "_engine_pool",
         "_csr",
     )
@@ -90,9 +88,7 @@ class IndexedGraph:
         self.num_nodes = len(labels)
         self.num_edges = len(nbr) // 2
         self._node_views: list[tuple] | None = None
-        self._port_pairs: list[tuple] | None = None
         self._port_src_labels: list | None = None
-        self._broadcast_views: list[list] | None = None
         # Single-slot pool of runner engine state (contexts, inboxes, port
         # loads) — checked out by Runner.__init__, returned by a clean run().
         self._engine_pool: tuple | None = None
@@ -118,9 +114,7 @@ class IndexedGraph:
         self.num_nodes = len(labels)
         self.num_edges = len(self.nbr) // 2
         self._node_views = None
-        self._port_pairs = None
         self._port_src_labels = None
-        self._broadcast_views = None
         self._engine_pool = None
         self._csr = csr_views
         return self
@@ -203,25 +197,6 @@ class IndexedGraph:
             self._node_views = views
         return views
 
-    def port_pairs(self) -> list[tuple]:
-        """Flat per-port ``(src_label, dst_label)`` table (parallel to ``nbr``).
-
-        Used by the runner's per-message slow path (tracing metrics); the
-        fast path folds port counts through :meth:`port_src_labels` instead.
-        Built lazily once per view.
-        """
-        pairs = self._port_pairs
-        if pairs is None:
-            labels = self.labels
-            indptr = self.indptr
-            nbr = self.nbr
-            pairs = []
-            for i in range(self.num_nodes):
-                src = labels[i]
-                pairs.extend((src, labels[j]) for j in nbr[indptr[i] : indptr[i + 1]])
-            self._port_pairs = pairs
-        return pairs
-
     def port_src_labels(self) -> list:
         """Flat per-port sender-label column (parallel to ``nbr``).
 
@@ -238,23 +213,6 @@ class IndexedGraph:
                 out.extend(repeat(label, indptr[i + 1] - indptr[i]))
             self._port_src_labels = out
         return out
-
-    def broadcast_views(self) -> list[list]:
-        """Per-node neighbor-index runs (``nbr`` slices) for broadcast expansion.
-
-        The delivery phase expands one broadcast record by walking this
-        list instead of re-slicing the CSR arrays per record.  Built lazily
-        on the first broadcast over this view.
-        """
-        views = self._broadcast_views
-        if views is None:
-            indptr = self.indptr
-            nbr = self.nbr
-            views = [
-                nbr[indptr[i] : indptr[i + 1]] for i in range(self.num_nodes)
-            ]
-            self._broadcast_views = views
-        return views
 
     # ------------------------------------------------------------------
     # label-space round-trip

@@ -1,12 +1,14 @@
 """Simulator of the synchronous CONGEST model and its sleeping variant.
 
-Two execution engines share the :class:`NodeAlgorithm`/:class:`Context`/
-:class:`Inbox` API: the synchronous :class:`Runner` (lock-step rounds, the
-model the paper's guarantees are stated in) and the asynchronous
-:class:`EventRunner` (virtual-time event heap, per-edge latency models,
-bandwidth/duration stopping conditions).  Under the default unit latency
-model the two are differentially identical; :func:`make_runner` plus the
-:func:`simulation_engine` context select the engine library-wide.
+One engine loop serves two runner classes sharing the
+:class:`NodeAlgorithm`/:class:`Context`/:class:`Inbox` API: the
+synchronous :class:`Runner` (lock-step rounds, the model the paper's
+guarantees are stated in) and :class:`EventRunner`, the same loop with
+per-edge latency models and bandwidth/duration stopping conditions.
+Under the default unit latency model the two run the same code path;
+:func:`make_runner` plus the :func:`simulation_engine` context select
+the engine library-wide.  :class:`ReferenceRunner` is the separate,
+deliberately simple oracle the differential tests compare against.
 
 Both engines honor the seeded fault plane of :mod:`repro.sim.faults`
 (message drop/duplication, node crash-restart) — installed per run via

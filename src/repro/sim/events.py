@@ -1,43 +1,28 @@
-"""Event-driven asynchronous simulation core.
+"""Latency models, engine selection, and the event runner.
 
-The synchronous :class:`~repro.sim.Runner` executes the paper's lock-step
-models: every message takes exactly one round, so its scheduler is a heap
-of *distinct pending rounds*.  Real deployments are not lock-step — links
-have heterogeneous latency, nodes wake when traffic arrives, and runs are
-bounded by wall-clock or bandwidth budgets, not round counts.  This module
-generalizes the distinct-round scheduler into a true event-driven core:
+The paper states every result in lock-step synchronous rounds, so the
+event engine is not a second simulator: :class:`EventRunner` runs the
+round engine's one loop (:mod:`repro.sim.runner`) and adds what real
+deployments have and the paper's rounds abstract away:
 
-* a virtual-time **event heap**: a heap of distinct integer times, each
-  owning a :class:`_Slot` of ordered events — message-delivery events
-  (unicast, then broadcast) and node-wake events.  Within one time the
-  slot's lists preserve global send order (the ``seq`` in the conceptual
-  ``(time, kind, seq)`` event key), so execution is fully deterministic;
 * **per-edge latency models** (:class:`UniformLatency`, the seeded
   :class:`RandomDelayLatency`, explicit :class:`EdgeTableLatency`
   tables): a message sent at time ``t`` over port ``p`` is delivered at
-  ``t + delay(p)``;
+  ``t + delay(p)``.  Under any non-unit model the loop parks it in a
+  per-arrival-time slot and moves it into the inbox at that time, before
+  that time's wakes run — unicasts first, then broadcasts, each in send
+  order, which is the order a unit-latency round fills the inboxes in;
 * **stopping conditions** beyond the round budget: ``max_time`` (a
   duration horizon — simulation stops gracefully once virtual time passes
-  it) and ``message_budget`` (a bandwidth cap — stops once that many
-  messages have been sent), both reported via
+  it with work left) and ``message_budget`` (a bandwidth cap — stops
+  once that many messages have been sent), both reported via
   :attr:`EventRunner.stop_reason`;
-* the **uniform-unit equivalence guarantee**: with the default
-  ``unit`` latency model, :class:`EventRunner` is *differentially
-  identical* to the synchronous :class:`~repro.sim.Runner` — same outputs,
-  same :class:`~repro.sim.Metrics` (to the byte, including serialized
-  store payloads).  The event loop is ordered to make this a theorem of
-  the implementation, not an accident:
-
-  1. at each time ``t``, delivery events run before wake events (a
-     message sent at ``t - 1`` with delay 1 is readable at ``t``, exactly
-     like the sync mailbox);
-  2. within a time, unicast deliveries precede broadcast deliveries, each
-     in global send order (the sync runner's delivery phase drains the
-     unicast outbox columns before the broadcast records);
-  3. awake nodes step in node-index order, and sends are metered/resolved
-     only after *all* steps at ``t`` finish (so sleeping-model
-     ``awake_stamp`` checks see the complete post-step picture, as in the
-     sync delivery phase).
+* the **uniform-unit equivalence guarantee**: with the default ``unit``
+  latency model, :class:`EventRunner` takes exactly the code path of the
+  synchronous :class:`~repro.sim.Runner` — same outputs, same
+  :class:`~repro.sim.Metrics` (to the byte, including serialized store
+  payloads).  The guarantee is a property of the structure: there is
+  only one loop.
 
 Engine selection
 ----------------
@@ -70,18 +55,15 @@ halts while the message is in flight still counts it as delivered.
 
 from __future__ import annotations
 
-import copy
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from ..graphs import Graph
 from ..graphs.indexed import IndexedGraph
 from .faults import FaultModel, parse_fault_model
-from .kernels import WAKE_HALT, WAKE_NEXT, kernel_for
 from .metrics import Metrics
-from .runner import _IDLE, _NONE, Context, Inbox, Mode, Runner, SimulationError
+from .runner import Mode, Runner
 
 __all__ = [
     "LatencyModel",
@@ -111,17 +93,15 @@ class LatencyModel:
     Subclasses define :attr:`name` (the canonical sweep-axis string
     recorded in tidy rows), :attr:`bound` (the worst-case per-edge delay —
     what :func:`latency_bound` reports to latency-aware protocols), and
-    either :attr:`uniform_delay` (every edge the same) or
-    :meth:`port_delays` (one integer per CSR port).
+    :meth:`port_delays` (one integer per CSR port).  A model whose bound
+    is 1 is the unit model, whatever its class: the engine then never
+    asks for the table.
     """
 
     #: Canonical model string (``"unit"``, ``"uniform:3"``, ``"random:4"``).
     name: str = "unit"
     #: Worst-case per-edge delay (1 for the unit model).
     bound: int = 1
-    #: The shared delay when the model is uniform, else ``None``.
-    uniform_delay: int | None = None
-
     def port_delays(self, indexed: IndexedGraph) -> list[int]:
         """Per-port delay table, parallel to ``indexed.nbr``."""
         raise NotImplementedError
@@ -145,12 +125,11 @@ class UniformLatency(LatencyModel):
     """
 
     def __init__(self, delay: int = 1) -> None:
-        self.uniform_delay = _check_delay(delay, "uniform latency delay")
-        self.bound = delay
+        self.bound = _check_delay(delay, "uniform latency delay")
         self.name = "unit" if delay == 1 else f"uniform:{delay}"
 
     def port_delays(self, indexed: IndexedGraph) -> list[int]:
-        return [self.uniform_delay] * len(indexed.nbr)
+        return [self.bound] * len(indexed.nbr)
 
 
 class RandomDelayLatency(LatencyModel):
@@ -176,8 +155,6 @@ class RandomDelayLatency(LatencyModel):
         return rng.randint(1, self.bound)
 
     def port_delays(self, indexed: IndexedGraph) -> list[int]:
-        if self.bound == 1:
-            return [1] * len(indexed.nbr)
         labels = indexed.labels
         delays: list[int] = []
         # One draw per undirected edge, mirrored to both ports: compute on
@@ -212,7 +189,6 @@ class EdgeTableLatency(LatencyModel):
             _check_delay(delay, f"edge table delay for {key!r}")
         self.bound = max([self.default, *self.table.values()]) if self.table else self.default
         self.name = f"table:{len(self.table)}"
-        self.uniform_delay = None if self.table else self.default
 
     def edge_delay(self, u: object, v: object) -> int:
         delay = self.table.get((u, v))
@@ -448,28 +424,9 @@ def make_runner(
 # ----------------------------------------------------------------------
 # the event-driven runner
 # ----------------------------------------------------------------------
-class _Slot:
-    """All events scheduled for one virtual time, in processing order.
-
-    ``unicasts`` and ``bcasts`` hold delivery events as ``(port_id,
-    payload)`` pairs appended in global send order; ``wakes`` holds node
-    indices (filtered against ``next_wake`` at processing time, exactly
-    like the sync runner's round buckets).  Keeping the three kinds in
-    separate ordered lists realizes the ``(time, kind, seq)`` event order
-    without a per-event heap entry.
-    """
-
-    __slots__ = ("unicasts", "bcasts", "wakes")
-
-    def __init__(self) -> None:
-        self.unicasts: list = []
-        self.bcasts: list = []
-        self.wakes: list[int] = []
-
-
-class EventRunner:
-    """Asynchronous executor: the :class:`~repro.sim.Runner` semantics on a
-    virtual-time event heap with per-edge latency.
+class EventRunner(Runner):
+    """The :class:`~repro.sim.Runner` loop with per-edge latency and
+    graceful stopping conditions.
 
     Drives the same :class:`~repro.sim.NodeAlgorithm` /
     :class:`~repro.sim.Context` / :class:`~repro.sim.Inbox` API as the
@@ -477,8 +434,7 @@ class EventRunner:
     except through message timing.  ``ctx.round`` is the node's current
     *virtual time*; ``ctx.wake_at`` / ``ctx.sleep_for`` schedule in the
     same currency.  Under the default unit latency model the execution is
-    differentially identical to ``Runner`` (see the module docstring for
-    the ordering argument).
+    the round engine's, step for step (see the module docstring).
 
     Parameters beyond the :class:`~repro.sim.Runner` set
     -----------------------------------------------------
@@ -486,14 +442,19 @@ class EventRunner:
         A :class:`LatencyModel` or axis string (default ``"unit"``).
     max_time:
         Duration stopping: events at virtual times beyond this horizon
-        are not processed; the run stops gracefully with
-        ``stop_reason == "max_time"``.  (``max_rounds`` stays the *hard*
-        budget — exceeding it raises, as in the sync runner.)
+        are not processed; if a live wake or an undelivered message is
+        left past it, the run stops gracefully with ``stop_reason ==
+        "max_time"``.  A message sent at the horizon arrives past it
+        under every latency model, unit latency included.  (``max_rounds`` stays the *hard* budget —
+        exceeding it raises, as in the sync runner.)
     message_budget:
         Bandwidth stopping: once this many messages have been sent the
         run stops gracefully with ``stop_reason == "message_budget"``
         (the in-flight batch still resolves — budgets bound work, they do
         not tear messages).
+    stats:
+        Optional :class:`EngineStats` noting the stop reason and final
+        virtual time.
 
     ``edge_capacity`` is enforced per *send time*: at most that many
     messages may enter one directed edge per virtual time unit — the
@@ -501,6 +462,9 @@ class EventRunner:
     paper's per-round capacity under unit latency.
     """
 
+    # __init__ and run reach the shared code through _setup/_execute, not
+    # super(): perfbench's tracer wraps each class's own __init__ and run in
+    # a span, and nested runner/event spans would split the time wrongly.
     def __init__(
         self,
         graph: "Graph | IndexedGraph",
@@ -517,379 +481,23 @@ class EventRunner:
         faults: "str | FaultModel | None" = None,
         stats: EngineStats | None = None,
     ) -> None:
-        indexed = graph if isinstance(graph, IndexedGraph) else IndexedGraph.of(graph)
-        try:
-            algorithms_by_index = [algorithms[label] for label in indexed.labels]
-        except KeyError:
-            missing = [u for u in indexed.labels if u not in algorithms]
-            raise SimulationError(f"nodes without an algorithm: {missing[:5]}") from None
-        self.graph = graph
-        self.indexed = indexed
-        self.algorithms = algorithms
-        self.mode = mode
+        self._setup(graph, algorithms, mode, round_width, edge_capacity,
+                    metrics, max_rounds, faults)
         self.latency = parse_latency_model(latency if latency is not None else "unit")
-        self.round_width = round_width
-        self.edge_capacity = edge_capacity
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.max_rounds = max_rounds
         self.max_time = max_time
         self.message_budget = message_budget
-        self.faults = parse_fault_model(faults)
-        # Restart snapshots: a rebooted node comes back with *fresh*
-        # algorithm state (see Runner) — captured before the first step.
-        if self.faults is not None and self.faults.crashes and self.faults.restart_after:
-            self._restart_snapshots = [copy.deepcopy(alg) for alg in algorithms_by_index]
-        else:
-            self._restart_snapshots = None
         self._stats = stats
         #: ``None`` (ran to quiescence), ``"max_time"``, or ``"message_budget"``.
         self.stop_reason: str | None = None
-        self._algorithms_by_index = algorithms_by_index
-        # Private engine state — the event runner never touches the
-        # IndexedGraph engine pool (that slot belongs to the sync Runner's
-        # checkout protocol).
-        views = indexed.node_views()
-        self._contexts = [
-            Context(self, label, i, views[i]) for i, label in enumerate(indexed.labels)
-        ]
-        self._inboxes = [Inbox() for _ in range(indexed.num_nodes)]
-        self._edge_load = [0] * len(indexed.nbr)
-        # Columnar outboxes shared with Context.send/broadcast — identical
-        # layout to the sync runner so Context needs no changes.
-        self._out_ports: list[int] = []
-        self._out_payloads: list[object] = []
-        self._bcast_src: list[int] = []
-        self._bcast_payloads: list[object] = []
-        self._touched: list[int] = []
 
     # ------------------------------------------------------------------
     def run(self) -> Metrics:
         """Process events until quiescence or a stopping condition."""
-        indexed = self.indexed
-        n = indexed.num_nodes
-        labels = indexed.labels
-        nbr = indexed.nbr
-        indptr = indexed.indptr
-        port_src = indexed.port_src_labels()
-        contexts = self._contexts
-        on_rounds = [alg.on_round for alg in self._algorithms_by_index]
-        inboxes = self._inboxes
-        out_ports = self._out_ports
-        out_payloads = self._out_payloads
-        bcast_src = self._bcast_src
-        bcast_payloads = self._bcast_payloads
-        edge_load = self._edge_load
-        touched = self._touched
-        metrics = self.metrics
-        max_rounds = self.max_rounds
-        max_time = self.max_time
-        message_budget = self.message_budget
-        sleeping = self.mode is Mode.SLEEPING
-        # Mirror the sync runner's contract: only metric *subclasses* see
-        # the in-phase round stamp (plain Metrics must come out of either
-        # engine with byte-identical serialized state, current_round
-        # included).
-        fast = type(metrics) is Metrics
-        uniform = self.latency.uniform_delay
-        delays = None if uniform is not None else self.latency.port_delays(indexed)
-        # Batch kernels engage only under unit latency, where the event
-        # schedule coincides with the sync runner's rounds (the regime the
-        # differential suite pins).  All other gates live in kernel_for.
-        kernel = kernel_for(self) if uniform == 1 else None
-
-        heap: list[int] = []
-        slots: dict[int, _Slot] = {}
-
-        def slot_for(time: int) -> _Slot:
-            slot = slots.get(time)
-            if slot is None:
-                slot = slots[time] = _Slot()
-                heappush(heap, time)
-            return slot
-
-        next_wake = [0] * n
-        awake_stamp = [-1] * n if sleeping else None
-        if n:
-            first = _Slot()
-            first.wakes = list(range(n))
-            slots[0] = first
-            heap.append(0)
-        last_step = -1
-        messages_sent = 0
-        stop_reason: str | None = None
-        # --- fault plane (repro.sim.faults) ---------------------------
-        # ``plane is None`` on fault-free runs keeps every loop below on
-        # the exact pre-fault path.  Crash events fire at the top of their
-        # time slot (before deliveries: a dead receiver loses arrivals);
-        # restarts fire after deliveries but before wakes, so a node
-        # restarting at ``t`` misses messages arriving at ``t`` — exactly
-        # the sync engine's semantics, where those messages resolved in
-        # the previous round's delivery phase while the node was down.
-        plane = self.faults
-        crashed: list[bool] | None = None
-        crash_at: dict[int, list[int]] | None = None
-        restart_at: dict[int, list[int]] = {}
-        if plane is not None:
-            crashed = [False] * n
-            if plane.crashes:
-                index_of = {label: i for i, label in enumerate(labels)}
-                crash_at = {}
-                for node, (when, restart) in plane.crash_plan(labels).items():
-                    crash_at.setdefault(when, []).append(index_of[node])
-                    if restart is not None:
-                        restart_at.setdefault(restart, []).append(index_of[node])
-                # Force a slot at every fault-event time so crashes and
-                # restarts fire even in quiet stretches.
-                for when in (*crash_at, *restart_at):
-                    slot_for(when)
-
-        while heap:
-            t = heappop(heap)
-            if max_time is not None and t > max_time:
-                stop_reason = "max_time"
-                break
-            slot = slots.pop(t)
-
-            if crash_at is not None:
-                for i in crash_at.get(t, ()):
-                    crashed[i] = True
-                    metrics.record_crash(labels[i])
-                    box = inboxes[i]
-                    if box.senders:
-                        # Buffered-but-unread messages die with the node;
-                        # they were metered as delivered sends, so only the
-                        # fault counter moves.
-                        metrics.messages_dropped += len(box.senders)
-                        box.senders.clear()
-                        box.payloads.clear()
-
-            # --- deliveries: unicasts, then broadcasts, in send order ----
-            for port_id, payload in slot.unicasts:
-                dst_i = nbr[port_id]
-                if crashed is not None and crashed[dst_i]:
-                    metrics.messages_dropped += 1
-                    continue
-                if contexts[dst_i]._halted:
-                    continue
-                box = inboxes[dst_i]
-                box.senders.append(port_src[port_id])
-                box.payloads.append(payload)
-                if not sleeping:
-                    cur = next_wake[dst_i]
-                    if cur == _NONE or cur > t:
-                        next_wake[dst_i] = t
-                        slot.wakes.append(dst_i)
-            for port_id, payload in slot.bcasts:
-                dst_i = nbr[port_id]
-                if crashed is not None and crashed[dst_i]:
-                    metrics.messages_dropped += 1
-                    continue
-                if contexts[dst_i]._halted:
-                    continue
-                box = inboxes[dst_i]
-                box.senders.append(port_src[port_id])
-                box.payloads.append(payload)
-                if not sleeping:
-                    cur = next_wake[dst_i]
-                    if cur == _NONE or cur > t:
-                        next_wake[dst_i] = t
-                        slot.wakes.append(dst_i)
-
-            if restart_at:
-                for i in restart_at.get(t, ()):
-                    fresh = copy.deepcopy(self._restart_snapshots[i])
-                    self._algorithms_by_index[i] = fresh
-                    self.algorithms[labels[i]] = fresh
-                    on_rounds[i] = fresh.on_round
-                    ctx = contexts[i]
-                    ctx._halted = False
-                    ctx._next_wake = None
-                    crashed[i] = False
-                    metrics.record_recovery(labels[i])
-                    next_wake[i] = t
-                    slot.wakes.append(i)
-
-            # --- wakes: filter stale entries, step in node-index order ---
-            awake: list[int] = []
-            if crashed is None:
-                for i in slot.wakes:
-                    if next_wake[i] == t:
-                        next_wake[i] = _NONE
-                        awake.append(i)
-            else:
-                for i in slot.wakes:
-                    if next_wake[i] == t:
-                        next_wake[i] = _NONE
-                        if not crashed[i]:
-                            awake.append(i)
-            if awake:
-                if t >= max_rounds:
-                    raise SimulationError(f"exceeded max_rounds={max_rounds}")
-                last_step = t
-                awake.sort()
-                if not fast:
-                    metrics.current_round = t
-                nxt = t + 1
-                codes = None
-                if kernel is not None:
-                    codes = kernel.on_round_batch(
-                        t, awake, inboxes,
-                        out_ports, out_payloads, bcast_src, bcast_payloads,
-                    )
-                if codes is not None:
-                    for k, i in enumerate(awake):
-                        if sleeping:
-                            awake_stamp[i] = t
-                        box = inboxes[i]
-                        if box.senders:
-                            box.senders.clear()
-                            box.payloads.clear()
-                        wake = codes[k]
-                        if wake == WAKE_NEXT:
-                            s = nxt
-                        elif wake >= 0:
-                            s = wake
-                        else:
-                            if wake == WAKE_HALT:
-                                contexts[i]._halted = True
-                            continue  # halted or idle: no wake scheduled
-                        next_wake[i] = s
-                        slot_for(s).wakes.append(i)
-                else:
-                    for i in awake:
-                        if sleeping:
-                            awake_stamp[i] = t
-                        ctx = contexts[i]
-                        ctx.round = t
-                        ctx._next_wake = None
-                        box = inboxes[i]
-                        on_rounds[i](ctx, box)
-                        if box.senders:
-                            box.senders.clear()
-                            box.payloads.clear()
-                        wake = ctx._next_wake
-                        if ctx._halted or wake is _IDLE:
-                            continue
-                        s = wake if wake is not None else nxt
-                        next_wake[i] = s
-                        slot_for(s).wakes.append(i)
-                for i in awake:
-                    metrics.record_awake(labels[i], self.round_width)
-
-            # --- send resolution: meter, decide delivery, schedule -------
-            if out_ports or bcast_src:
-                if not fast:
-                    metrics.current_round = t
-                if plane is not None:
-                    # Faulted resolution: drop/dup decided at send time, on
-                    # the sending side of the link (see DESIGN.md), with
-                    # draws keyed and occurrence-counted exactly like the
-                    # sync engine's delivery phase — unit-latency faulted
-                    # runs agree across engines.
-                    occ: dict[int, int] = {}
-                    for port_id, payload in zip(out_ports, out_payloads):
-                        dst_i = nbr[port_id]
-                        messages_sent += 1
-                        src = port_src[port_id]
-                        dst = labels[dst_i]
-                        k = occ.get(port_id, 0)
-                        occ[port_id] = k + 1
-                        if plane.drop_message(src, dst, t, k) or crashed[dst_i]:
-                            metrics.record_dropped(src, dst)
-                            continue
-                        if sleeping:
-                            delivered = (
-                                awake_stamp[dst_i] == t
-                                and not contexts[dst_i]._halted
-                            )
-                        else:
-                            delivered = True
-                        metrics.record_send(src, dst, delivered)
-                        if delivered and not contexts[dst_i]._halted:
-                            arrival = t + (
-                                uniform if uniform is not None else delays[port_id]
-                            )
-                            target = slot_for(arrival).unicasts
-                            target.append((port_id, payload))
-                            if plane.duplicate_message(src, dst, t, k):
-                                target.append((port_id, payload))
-                                metrics.record_duplicated(src, dst)
-                    for src_i, payload in zip(bcast_src, bcast_payloads):
-                        sender = labels[src_i]
-                        for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                            dst_i = nbr[port_id]
-                            messages_sent += 1
-                            dst = labels[dst_i]
-                            k = occ.get(port_id, 0)
-                            occ[port_id] = k + 1
-                            if plane.drop_message(sender, dst, t, k) or crashed[dst_i]:
-                                metrics.record_dropped(sender, dst)
-                                continue
-                            if sleeping:
-                                delivered = (
-                                    awake_stamp[dst_i] == t
-                                    and not contexts[dst_i]._halted
-                                )
-                            else:
-                                delivered = True
-                            metrics.record_send(sender, dst, delivered)
-                            if delivered and not contexts[dst_i]._halted:
-                                arrival = t + (
-                                    uniform if uniform is not None else delays[port_id]
-                                )
-                                target = slot_for(arrival).bcasts
-                                target.append((port_id, payload))
-                                if plane.duplicate_message(sender, dst, t, k):
-                                    target.append((port_id, payload))
-                                    metrics.record_duplicated(sender, dst)
-                else:
-                    for port_id, payload in zip(out_ports, out_payloads):
-                        dst_i = nbr[port_id]
-                        messages_sent += 1
-                        if sleeping:
-                            delivered = (
-                                awake_stamp[dst_i] == t and not contexts[dst_i]._halted
-                            )
-                        else:
-                            delivered = True
-                        metrics.record_send(port_src[port_id], labels[dst_i], delivered)
-                        if delivered and not contexts[dst_i]._halted:
-                            arrival = t + (uniform if uniform is not None else delays[port_id])
-                            slot_for(arrival).unicasts.append((port_id, payload))
-                    for src_i, payload in zip(bcast_src, bcast_payloads):
-                        sender = labels[src_i]
-                        for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                            dst_i = nbr[port_id]
-                            messages_sent += 1
-                            if sleeping:
-                                delivered = (
-                                    awake_stamp[dst_i] == t
-                                    and not contexts[dst_i]._halted
-                                )
-                            else:
-                                delivered = True
-                            metrics.record_send(sender, labels[dst_i], delivered)
-                            if delivered and not contexts[dst_i]._halted:
-                                arrival = t + (
-                                    uniform if uniform is not None else delays[port_id]
-                                )
-                                slot_for(arrival).bcasts.append((port_id, payload))
-                out_ports.clear()
-                out_payloads.clear()
-                bcast_src.clear()
-                bcast_payloads.clear()
-                for port_id in touched:
-                    edge_load[port_id] = 0
-                touched.clear()
-                if message_budget is not None and messages_sent >= message_budget:
-                    stop_reason = "message_budget"
-                    break
-
-        if kernel is not None:
-            kernel.finalize()
-        final_time = (last_step + 1) * self.round_width
-        metrics.record_rounds(final_time)
-        self.stop_reason = stop_reason
+        latency = self.latency
+        delays = None if latency.bound == 1 else latency.port_delays(self.indexed)
+        self.stop_reason, final_time = self._execute(
+            delays, self.max_time, self.message_budget
+        )
         if self._stats is not None:
-            self._stats.note(stop_reason, final_time)
-        return metrics
+            self._stats.note(self.stop_reason, final_time)
+        return self.metrics

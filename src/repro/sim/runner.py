@@ -31,11 +31,14 @@ slot).  All paper-facing metrics remain exact.
 
 Engine
 ------
-The runner executes on the frozen :class:`~repro.graphs.IndexedGraph` view
-of the network (built once per graph and cached on it), so all per-round
-bookkeeping is integer-indexed array work.  The message plane is
-*columnar*: per-round state lives in flat parallel arrays, not per-message
-objects.
+This module holds the simulator's one engine loop.  :class:`Runner` runs
+it under unit latency; :class:`~repro.sim.events.EventRunner` runs the
+same loop with a per-edge latency model and graceful stopping conditions
+(``max_time``, ``message_budget``).  The loop executes on the frozen
+:class:`~repro.graphs.IndexedGraph` view of the network (built once per
+graph and cached on it), so all per-round bookkeeping is integer-indexed
+array work.  The message plane is *columnar*: per-round state lives in
+flat parallel arrays, not per-message objects.
 
 * the outbox is a pair of parallel lists ``(port_id, payload)`` — a unicast
   send appends one integer and one payload, no tuple is built;
@@ -55,6 +58,17 @@ objects.
   via a touched-list, not a fresh ``Counter`` per round;
 * awake nodes step in node-index order (graph insertion order), which is
   deterministic.
+
+Messages get their arrival time from the latency model.  Under unit
+latency a message sent in round ``r`` goes straight into its receiver's
+inbox at the end of ``r`` and a CONGEST receiver is booked to wake at
+``r + 1``: nothing reads an inbox between two rounds, so this is the same
+execution as delivering at ``r + 1``.  Under any other model the message
+is parked in a per-arrival-time slot (parallel port and payload lists)
+and moved into the inbox at its arrival time, before that time's wakes
+run.  Plain :class:`Metrics` are metered in bulk through deferred folds
+under every latency model and fault plane; metric subclasses get one
+``record_*`` hook call per event instead.
 
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
@@ -227,7 +241,11 @@ class Context:
 
     # -- actions ---------------------------------------------------------
     def send(self, neighbor: object, payload: object) -> None:
-        """Send ``payload`` to ``neighbor`` this round (arrives next round)."""
+        """Send ``payload`` to ``neighbor`` this round.
+
+        It arrives after the edge's delay: the next round under unit
+        latency.
+        """
         port = self._ports.get(neighbor)
         if port is None:
             raise SimulationError(f"{self.node!r} tried to message non-neighbor {neighbor!r}")
@@ -395,6 +413,12 @@ class Runner:
         max_rounds: int = 10_000_000,
         faults=None,
     ) -> None:
+        self._setup(graph, algorithms, mode, round_width, edge_capacity,
+                    metrics, max_rounds, faults)
+
+    def _setup(self, graph, algorithms, mode, round_width, edge_capacity,
+               metrics, max_rounds, faults) -> None:
+        """Constructor body shared by :class:`Runner` and the event runner."""
         indexed = graph if isinstance(graph, IndexedGraph) else IndexedGraph.of(graph)
         try:
             algorithms_by_index = [algorithms[label] for label in indexed.labels]
@@ -468,12 +492,24 @@ class Runner:
     # ------------------------------------------------------------------
     def run(self) -> Metrics:
         """Simulate until quiescence; return the (possibly shared) metrics."""
+        self._execute()
+        return self.metrics
+
+    def _execute(self, delays=None, max_time=None, message_budget=None):
+        """The engine loop, shared by :class:`Runner` and the event runner.
+
+        ``delays`` is the per-port delay table of a non-unit latency model;
+        ``None`` means unit latency, where a message sent at ``t`` goes
+        straight into its receiver's inbox.  ``max_time`` and
+        ``message_budget`` are the event runner's graceful stopping
+        conditions.  Returns ``(stop_reason, final_time)``.
+        """
         indexed = self.indexed
         n = indexed.num_nodes
         labels = indexed.labels
         nbr = indexed.nbr
+        indptr = indexed.indptr
         port_src = indexed.port_src_labels()
-        bviews = None  # indexed.broadcast_views(), fetched on first broadcast
         contexts = self._contexts_by_index
         if contexts and contexts[0]._runner is not self:
             # Our pooled state was checked out by a runner created after us
@@ -497,36 +533,40 @@ class Runner:
         # (TracingMetrics etc.) override the record_* hooks and get the
         # per-event calls — same accumulated state either way.
         fast = type(metrics) is Metrics
-        # The per-message slow path (tracing metrics) records full label
-        # pairs; the fast path never touches this table.
-        port_pairs = None if fast else indexed.port_pairs()
+        plane = self.faults
         # Batch-kernel dispatch: when every gate passes (numpy backend,
         # plain Metrics, no fault plane, capacity 1, homogeneous roster
-        # that opts in) the per-round node loop below is replaced by one
-        # kernel call over the whole awake set.  Delivery, scheduling and
-        # all metering stay on the exact scalar code path, which is what
-        # keeps kernel runs byte-identical (see repro.sim.kernels).
-        kernel = kernel_for(self)
+        # that opts in, unit latency) the per-round node loop below is
+        # replaced by one kernel call over the whole awake set.  Delivery,
+        # scheduling and all metering stay on the exact scalar code path,
+        # which is what keeps kernel runs byte-identical (see
+        # repro.sim.kernels).
+        kernel = kernel_for(self) if delays is None else None
 
         # Wake schedule: per-round buckets of node indices plus a heap of the
         # *distinct* pending rounds.  A round enters the heap exactly once,
         # when its bucket is created, so the main loop pops straight from one
         # active round to the next — empty stretches cost nothing.  Stale
         # bucket entries (nodes rescheduled elsewhere) are filtered against
-        # ``next_wake`` at pop time, exactly like the old ring scheduler.
+        # ``next_wake`` at pop time.
         heap: list[int] = []
         buckets: dict[int, list[int]] = {}
         next_wake = [0] * n
         if n:
             buckets[0] = list(range(n))
             heap.append(0)
+        # Messages in flight under non-unit latency, by arrival time:
+        # ``[unicast ports, unicast payloads, broadcast ports, broadcast
+        # payloads]``, each lane in send order.  Arrivals at ``t`` enter
+        # the inboxes before the wakes at ``t`` run, unicasts first — the
+        # order a unit-latency round's delivery phase fills them in.
+        parked: dict[int, list[list]] = {}
         # last round each node woke (for sleeping-mode delivery).
         awake_stamp = [-1] * n if sleeping else None
         # --- fault plane (repro.sim.faults) ---------------------------
         # ``plane is None`` on fault-free runs: every branch below then
         # follows the exact pre-fault code path (the byte-identity
         # guarantee the differential tests pin).
-        plane = self.faults
         crashed: list[bool] | None = None
         crash_at: dict[int, list[int]] | None = None
         restart_at: dict[int, list[int]] = {}
@@ -546,6 +586,8 @@ class Runner:
                         buckets[when] = []
                         heappush(heap, when)
         last_round = -1
+        messages_sent = 0
+        stop_reason = None
         # Fast-path metric logs: per-round counter updates are deferred to
         # batched folds (Counter.update and dict increments have per-call
         # overhead that dominates sparse rounds).  The logs fold mid-run
@@ -554,17 +596,96 @@ class Runner:
         wake_log: list[int] = []
         port_log: list[int] = []
         bcast_log: list[int] = []
+        # Per-round state of deliver(): fault-draw occurrence counters and
+        # the cached wake bucket of the next round.
+        occ: dict[int, int] = {}
+        r = nxt_round = 0
+        nxt_bucket = None
+
+        def deliver(port_id: int, src: object, payload: object, lane: int) -> None:
+            """Resolve one send of round ``r``: fault draws, metering, routing.
+
+            Draws are keyed by (seed, kind, edge, send round, occurrence
+            index) with occurrences counted in send order, so a faulted run
+            draws the same faults under every latency model.
+            """
+            nonlocal nxt_bucket
+            dst_i = nbr[port_id]
+            if plane is not None:
+                dst = labels[dst_i]
+                k = occ.get(port_id, 0)
+                occ[port_id] = k + 1
+                if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
+                    if fast:
+                        metrics.messages_dropped += 1
+                    else:
+                        metrics.record_dropped(src, dst)
+                    return
+            halted = contexts[dst_i]._halted
+            # A sleeping-model message reaches its target only if the target
+            # was awake in the round it was sent (Sec 1.2); a CONGEST
+            # message is never lost, and a halted node discards it silently.
+            delivered = not sleeping or (awake_stamp[dst_i] == r and not halted)
+            if not fast:
+                metrics.record_send(src, labels[dst_i], delivered)
+            elif not delivered:
+                metrics.lost_messages += 1
+            if not delivered or halted:
+                return
+            # The duplicate lands right after the original — a fault
+            # artifact outside the capacity and message-complexity metering.
+            dup = plane is not None and plane.duplicate_message(src, dst, r, k)
+            if dup:
+                metrics.record_duplicated(src, dst)
+            if delays is not None:
+                arrival = r + delays[port_id]
+                slot = parked.get(arrival)
+                if slot is None:
+                    slot = parked[arrival] = [[], [], [], []]
+                    if arrival not in buckets:
+                        buckets[arrival] = []
+                        heappush(heap, arrival)
+                ports, payloads = slot[lane], slot[lane + 1]
+                ports.append(port_id)
+                payloads.append(payload)
+                if dup:
+                    ports.append(port_id)
+                    payloads.append(payload)
+                return
+            box = inboxes[dst_i]
+            box.senders.append(src)
+            box.payloads.append(payload)
+            if dup:
+                box.senders.append(src)
+                box.payloads.append(payload)
+            if not sleeping:
+                cur = next_wake[dst_i]
+                if cur == _NONE or cur > nxt_round:
+                    next_wake[dst_i] = nxt_round
+                    if nxt_bucket is None:
+                        nxt_bucket = buckets[nxt_round] = [dst_i]
+                        heappush(heap, nxt_round)
+                    else:
+                        nxt_bucket.append(dst_i)
 
         while heap:
             r = heappop(heap)
+            if max_time is not None and r > max_time:
+                # Stop only if work remains past the horizon: a live wake or
+                # a message still in flight.  Fault-event rounds alone (a
+                # crash scheduled after the run went quiet) do not count.
+                if parked or any(
+                    wake != _NONE and (crashed is None or not crashed[i])
+                    for i, wake in enumerate(next_wake)
+                ):
+                    stop_reason = "max_time"
+                break
             bucket = buckets.pop(r)
             if crash_at is not None:
                 # Crash events fire before anything else at their round: the
                 # victim does not step, its buffered inbox is destroyed (the
                 # messages were metered as delivered sends — they vanish
-                # into ``messages_dropped`` only).  Restarts rebind a fresh
-                # copy of the node's initial algorithm and book it to wake
-                # *this* round, as if it had just joined the network.
+                # into ``messages_dropped`` only).
                 for i in crash_at.get(r, ()):
                     crashed[i] = True
                     metrics.record_crash(labels[i])
@@ -573,6 +694,33 @@ class Runner:
                         metrics.messages_dropped += len(box.senders)
                         box.senders.clear()
                         box.payloads.clear()
+            if parked:
+                arrivals = parked.pop(r, None)
+                if arrivals is not None:
+                    # A message arriving at a dead node is metered as
+                    # dropped; a halted one discards it silently; CONGEST
+                    # receivers wake on arrival.
+                    for lane in (0, 2):
+                        for port_id, payload in zip(arrivals[lane], arrivals[lane + 1]):
+                            dst_i = nbr[port_id]
+                            if crashed is not None and crashed[dst_i]:
+                                metrics.messages_dropped += 1
+                                continue
+                            if contexts[dst_i]._halted:
+                                continue
+                            box = inboxes[dst_i]
+                            box.senders.append(port_src[port_id])
+                            box.payloads.append(payload)
+                            if not sleeping:
+                                cur = next_wake[dst_i]
+                                if cur == _NONE or cur > r:
+                                    next_wake[dst_i] = r
+                                    bucket.append(dst_i)
+            if restart_at:
+                # Restarts rebind a fresh copy of the node's initial
+                # algorithm and book it to wake *this* round, as if it had
+                # just joined the network.  They fire after this round's
+                # arrivals, which a node down until now never sees.
                 for i in restart_at.get(r, ()):
                     fresh = copy.deepcopy(self._restart_snapshots[i])
                     algorithms[i] = fresh
@@ -684,177 +832,22 @@ class Runner:
 
             # --- delivery -------------------------------------------------
             if out_ports or bcast_src:
-                if bcast_src and bviews is None:
-                    bviews = indexed.broadcast_views()
+                sent = len(out_ports)
+                for src_i in bcast_src:
+                    sent += indptr[src_i + 1] - indptr[src_i]
+                if fast:
+                    metrics.total_messages += sent
+                    port_log.extend(out_ports)
+                    bcast_log.extend(bcast_src)
+                nxt_bucket = buckets.get(nxt_round)
                 if plane is not None:
-                    # Faulted delivery: one per-message path for both modes.
-                    # Draws are keyed by (seed, kind, edge, send round,
-                    # occurrence index) with occurrences counted in send
-                    # order — the same order the event engine resolves at
-                    # send time — so unit-latency faulted runs agree across
-                    # engines just like fault-free ones.
-                    indptr = indexed.indptr
-                    occ: dict[int, int] = {}
-                    nxt_bucket = buckets.get(nxt_round)
-
-                    def deliver(port_id: int, src: object, payload: object) -> None:
-                        nonlocal nxt_bucket
-                        dst_i = nbr[port_id]
-                        dst = labels[dst_i]
-                        k = occ.get(port_id, 0)
-                        occ[port_id] = k + 1
-                        if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
-                            metrics.record_dropped(src, dst)
-                            return
-                        if sleeping:
-                            delivered = (
-                                awake_stamp[dst_i] == r and not contexts[dst_i]._halted
-                            )
-                            metrics.record_send(src, dst, delivered)
-                            if not delivered:
-                                return
-                        else:
-                            metrics.record_send(src, dst, True)
-                            if contexts[dst_i]._halted:
-                                return
-                        box = inboxes[dst_i]
-                        box.senders.append(src)
-                        box.payloads.append(payload)
-                        if plane.duplicate_message(src, dst, r, k):
-                            # The duplicate lands right after the original
-                            # (same round) — a fault artifact outside the
-                            # capacity and message-complexity metering.
-                            box.senders.append(src)
-                            box.payloads.append(payload)
-                            metrics.record_duplicated(src, dst)
-                        if not sleeping:
-                            cur = next_wake[dst_i]
-                            if cur == _NONE or cur > nxt_round:
-                                next_wake[dst_i] = nxt_round
-                                if nxt_bucket is None:
-                                    nxt_bucket = buckets[nxt_round] = [dst_i]
-                                    heappush(heap, nxt_round)
-                                else:
-                                    nxt_bucket.append(dst_i)
-
-                    for port_id, payload in zip(out_ports, out_payloads):
-                        deliver(port_id, port_src[port_id], payload)
-                    for src_i, payload in zip(bcast_src, bcast_payloads):
-                        sender = labels[src_i]
-                        for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                            deliver(port_id, sender, payload)
-                elif sleeping:
-                    # A message reaches its target only if the target was
-                    # awake in the round it was sent (Sec 1.2).
-                    if fast:
-                        lost = 0
-                        if out_ports:
-                            port_log.extend(out_ports)
-                            metrics.total_messages += len(out_ports)
-                            for port_id, payload in zip(out_ports, out_payloads):
-                                dst_i = nbr[port_id]
-                                if awake_stamp[dst_i] == r and not contexts[dst_i]._halted:
-                                    box = inboxes[dst_i]
-                                    box.senders.append(port_src[port_id])
-                                    box.payloads.append(payload)
-                                else:
-                                    lost += 1
-                        if bcast_src:
-                            for src_i, payload in zip(bcast_src, bcast_payloads):
-                                dsts = bviews[src_i]
-                                metrics.total_messages += len(dsts)
-                                sender = labels[src_i]
-                                for dst_i in dsts:
-                                    if (
-                                        awake_stamp[dst_i] == r
-                                        and not contexts[dst_i]._halted
-                                    ):
-                                        box = inboxes[dst_i]
-                                        box.senders.append(sender)
-                                        box.payloads.append(payload)
-                                    else:
-                                        lost += 1
-                            bcast_log.extend(bcast_src)
-                        metrics.lost_messages += lost
-                    else:
-                        for port_id, payload in zip(out_ports, out_payloads):
-                            dst_i = nbr[port_id]
-                            src, dst = port_pairs[port_id]
-                            delivered = (
-                                awake_stamp[dst_i] == r and not contexts[dst_i]._halted
-                            )
-                            metrics.record_send(src, dst, delivered)
-                            if delivered:
-                                box = inboxes[dst_i]
-                                box.senders.append(src)
-                                box.payloads.append(payload)
-                        indptr = indexed.indptr
-                        for src_i, payload in zip(bcast_src, bcast_payloads):
-                            sender = labels[src_i]
-                            for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                                dst_i = nbr[port_id]
-                                delivered = (
-                                    awake_stamp[dst_i] == r
-                                    and not contexts[dst_i]._halted
-                                )
-                                metrics.record_send(
-                                    sender, port_pairs[port_id][1], delivered
-                                )
-                                if delivered:
-                                    box = inboxes[dst_i]
-                                    box.senders.append(sender)
-                                    box.payloads.append(payload)
-                else:
-                    # CONGEST: never lost; a halted node discards arrivals
-                    # silently, others wake-on-message.
-                    nxt_bucket = buckets.get(nxt_round)
-                    if fast and out_ports:
-                        port_log.extend(out_ports)
-                        metrics.total_messages += len(out_ports)
-                    for port_id, payload in zip(out_ports, out_payloads):
-                        dst_i = nbr[port_id]
-                        dst_ctx = contexts[dst_i]
-                        if not fast:
-                            pair = port_pairs[port_id]
-                            metrics.record_send(pair[0], pair[1], True)
-                        if not dst_ctx._halted:
-                            box = inboxes[dst_i]
-                            box.senders.append(port_src[port_id])
-                            box.payloads.append(payload)
-                            cur = next_wake[dst_i]
-                            if cur == _NONE or cur > nxt_round:
-                                next_wake[dst_i] = nxt_round
-                                if nxt_bucket is None:
-                                    nxt_bucket = buckets[nxt_round] = [dst_i]
-                                    heappush(heap, nxt_round)
-                                else:
-                                    nxt_bucket.append(dst_i)
-                    for src_i, payload in zip(bcast_src, bcast_payloads):
-                        dsts = bviews[src_i]
-                        sender = labels[src_i]
-                        if fast:
-                            metrics.total_messages += len(dsts)
-                        else:
-                            indptr = indexed.indptr
-                            for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                                metrics.record_send(
-                                    sender, port_pairs[port_id][1], True
-                                )
-                        for dst_i in dsts:
-                            if not contexts[dst_i]._halted:
-                                box = inboxes[dst_i]
-                                box.senders.append(sender)
-                                box.payloads.append(payload)
-                                cur = next_wake[dst_i]
-                                if cur == _NONE or cur > nxt_round:
-                                    next_wake[dst_i] = nxt_round
-                                    if nxt_bucket is None:
-                                        nxt_bucket = buckets[nxt_round] = [dst_i]
-                                        heappush(heap, nxt_round)
-                                    else:
-                                        nxt_bucket.append(dst_i)
-                    if fast and bcast_src:
-                        bcast_log.extend(bcast_src)
+                    occ.clear()
+                for port_id, payload in zip(out_ports, out_payloads):
+                    deliver(port_id, port_src[port_id], payload, 0)
+                for src_i, payload in zip(bcast_src, bcast_payloads):
+                    sender = labels[src_i]
+                    for port_id in range(indptr[src_i], indptr[src_i + 1]):
+                        deliver(port_id, sender, payload, 2)
                 out_ports.clear()
                 out_payloads.clear()
                 bcast_src.clear()
@@ -866,22 +859,37 @@ class Runner:
                     _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
                     port_log.clear()
                 if len(bcast_log) >= _LOG_FOLD:
-                    _fold_bcasts(
-                        metrics.edge_messages, bcast_log, labels, nbr, indexed.indptr
-                    )
+                    _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
                     bcast_log.clear()
+                if message_budget is not None:
+                    # Budgets bound work; they do not tear messages, so the
+                    # round's batch resolves whole before the stop.
+                    messages_sent += sent
+                    if messages_sent >= message_budget:
+                        stop_reason = "message_budget"
+                        break
             # wake_log grows on message-free rounds too, so its bound check
             # cannot hide inside the delivery block.
             if len(wake_log) >= _LOG_FOLD:
                 _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
                 wake_log.clear()
 
+        if stop_reason is None and max_time is not None and sleeping and delays is None:
+            # Unit latency puts the sends of round max_time straight into
+            # the inboxes, but they arrive at max_time + 1, past the
+            # horizon.  A receiver that stepped at max_time and holds mail
+            # is undelivered work, as its parked twin is under any other
+            # latency model.  (CONGEST receivers are booked for the next
+            # round, which the horizon check above already sees.)
+            if any(stamp == max_time and inboxes[i].senders
+                   for i, stamp in enumerate(awake_stamp)):
+                stop_reason = "max_time"
         if kernel is not None:
             # Kernels that mirror instance state in their own columns write
             # it back here — drivers read results off the instances.
             kernel.finalize()
         if fast:
-            # Final fold of the deferred logs (see _fold_* below): counting
+            # Final fold of the deferred logs (see _fold_* above): counting
             # happens in C over plain integer columns, and label pairs are
             # materialized once per *distinct* port/source, not per message.
             if wake_log:
@@ -889,10 +897,9 @@ class Runner:
             if port_log:
                 _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
             if bcast_log:
-                _fold_bcasts(
-                    metrics.edge_messages, bcast_log, labels, nbr, indexed.indptr
-                )
-        self.metrics.record_rounds((last_round + 1) * self.round_width)
+                _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+        final_time = (last_round + 1) * self.round_width
+        metrics.record_rounds(final_time)
         if indexed._engine_pool is None:
             # Park the state for the next runner over this view.  Drop the
             # backreferences first: the pool outlives this runner (it hangs
@@ -902,4 +909,4 @@ class Runner:
             for ctx in contexts:
                 ctx._runner = None
             indexed._engine_pool = (contexts, inboxes, self._edge_load)
-        return self.metrics
+        return stop_reason, final_time

@@ -4,7 +4,8 @@ Covers the latency-model grammar and determinism, the engine-selection
 context, EventRunner's unit-latency parity with the synchronous Runner on
 synthetic protocols (CONGEST, sleeping, megarounds, capacity > 1), its
 asynchronous behaviors (delay stretching, wake-on-message under latency,
-per-edge tables), and the new stopping conditions.
+per-edge tables), the stopping conditions, and the agreement of the bulk
+and per-message metering paths off unit latency.
 """
 
 import random
@@ -28,6 +29,7 @@ from repro.sim import (
     current_engine,
     latency_bound,
     make_runner,
+    parse_fault_model,
     parse_latency_model,
     simulation_engine,
 )
@@ -482,3 +484,102 @@ def test_quiescent_run_has_no_stop_reason():
     )
     runner.run()
     assert runner.stop_reason is None
+
+
+def test_fault_events_past_max_time_do_not_fake_a_stop():
+    # Every node broadcasts once and halts, so the run is over after round
+    # 0.  A crash scheduled past the horizon leaves only a fault-event time
+    # in the schedule — no live wake, no message in flight — which must not
+    # turn a finished run into a "max_time" stop.
+    class CastAndHalt(NodeAlgorithm):
+        def on_round(self, ctx, inbox):
+            ctx.broadcast("bye")
+            ctx.halt()
+
+    g = graphs.cycle_graph(6)
+    for faults in (None, parse_fault_model("crash:1@50", seed=0)):
+        runner = EventRunner(
+            g, {u: CastAndHalt() for u in g.nodes()}, Mode.CONGEST,
+            max_time=40, faults=faults,
+        )
+        metrics = runner.run()
+        assert metrics.rounds == 1
+        assert runner.stop_reason is None
+
+
+@pytest.mark.parametrize("latency", ["unit", "uniform:2"])
+def test_sleeping_send_at_max_time_is_past_the_horizon(latency):
+    # At the horizon node 0 sends to node 1, which is awake, and both idle.
+    # The message arrives after max_time under every latency model, so it
+    # is undelivered work and the run stops on "max_time" — unit latency
+    # included, although it puts the message straight into the inbox.
+    class SendAtHorizon(NodeAlgorithm):
+        def on_round(self, ctx, inbox):
+            if ctx.round < 5:
+                return
+            if ctx.node == 0:
+                ctx.send(1, "late")
+            ctx.idle()
+
+    g = graphs.path_graph(2)
+    for max_time, expected in ((5, "max_time"), (20, None)):
+        runner = EventRunner(
+            g, {u: SendAtHorizon() for u in g.nodes()}, Mode.SLEEPING,
+            latency=latency, max_time=max_time,
+        )
+        metrics = runner.run()
+        assert metrics.lost_messages == 0
+        assert runner.stop_reason == expected
+
+
+# ----------------------------------------------------------------------
+# metering paths
+# ----------------------------------------------------------------------
+class Chatter(NodeAlgorithm):
+    """Seeded unicasts and broadcasts on staggered schedules (both modes)."""
+
+    def __init__(self, node, seed, horizon=12):
+        self.rng = random.Random(seed * 7919 + node)
+        self.horizon = horizon
+        self.heard = 0
+
+    def on_round(self, ctx, inbox):
+        self.heard += len(inbox)
+        if ctx.round >= self.horizon:
+            ctx.halt()
+            return
+        if self.rng.random() < 0.4:
+            ctx.broadcast(ctx.round)
+        else:
+            for v in ctx.neighbors:
+                if self.rng.random() < 0.5:
+                    ctx.send(v, ctx.round)
+        ctx.sleep_for(1 + self.rng.randrange(3))
+
+
+@pytest.mark.parametrize("latency", ["uniform:3", "random:4"])
+@pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
+@pytest.mark.parametrize("faults", [None, "drop:0.1+dup:0.05"])
+def test_fast_and_hook_metering_agree_under_latency(latency, mode, faults):
+    # A plain Metrics takes the deferred bulk folds, a subclass the
+    # per-message record_* hooks; off unit latency and under a fault plane
+    # the two must still accumulate the same state.
+    g = graphs.random_connected_graph(14, extra_edge_prob=0.25, seed=5)
+    out = []
+    for metrics in (Metrics(), TracingMetrics()):
+        EventRunner(
+            g, {u: Chatter(u, 5) for u in g.nodes()}, mode, metrics=metrics,
+            latency=parse_latency_model(latency, seed=5),
+            faults=parse_fault_model(faults, seed=5),
+        ).run()
+        payload = metrics.to_dict()
+        del payload["current_round"]  # stamped on the hook path only
+        out.append(payload)
+    fast, hooked = out
+    assert fast == hooked
+    assert fast["total_messages"] > 0
+    if mode is Mode.SLEEPING:
+        assert fast["lost_messages"] > 0
+    if faults is not None:
+        assert fast["faults"]["messages_dropped"] > 0
+        assert fast["faults"]["messages_duplicated"] > 0

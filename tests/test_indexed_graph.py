@@ -91,23 +91,15 @@ def test_node_views_shared_and_consistent():
             assert indexed.labels[dst_index] == v
 
 
-def test_port_pairs_and_broadcast_views_align_with_csr():
+def test_port_src_labels_align_with_csr():
     g = graphs.random_weights(graphs.random_connected_graph(18, seed=5), 7, seed=6)
     indexed = IndexedGraph.of(g)
-    pairs = indexed.port_pairs()
-    assert indexed.port_pairs() is pairs  # built once
-    assert len(pairs) == len(indexed.nbr)
-    for i, label in enumerate(indexed.labels):
-        for port_id in range(indexed.indptr[i], indexed.indptr[i + 1]):
-            assert pairs[port_id] == (label, indexed.labels[indexed.nbr[port_id]])
     srcs = indexed.port_src_labels()
     assert indexed.port_src_labels() is srcs  # built once
-    assert srcs == [pair[0] for pair in pairs]
-    bviews = indexed.broadcast_views()
-    assert indexed.broadcast_views() is bviews
-    for i in range(indexed.num_nodes):
-        lo, hi = indexed.indptr[i], indexed.indptr[i + 1]
-        assert bviews[i] == indexed.nbr[lo:hi]
+    assert len(srcs) == len(indexed.nbr)
+    for i, label in enumerate(indexed.labels):
+        for port_id in range(indexed.indptr[i], indexed.indptr[i + 1]):
+            assert srcs[port_id] == label
 
 
 def test_tuple_labels_round_trip():

@@ -18,7 +18,8 @@ import random
 import pytest
 
 from repro import graphs
-from repro.sim import Metrics, Mode, NodeAlgorithm, ReferenceRunner, Runner
+from repro.graphs.indexed import IndexedGraph
+from repro.sim import EventRunner, Metrics, Mode, NodeAlgorithm, ReferenceRunner, Runner
 
 
 class Gossip(NodeAlgorithm):
@@ -315,30 +316,56 @@ def test_real_algorithms_run_under_the_reference_oracle(seed):
         assert_identical(m_new, m_ref)
 
 
-def test_engine_pool_checkout_does_not_corrupt_live_runner():
+class CastOnce(NodeAlgorithm):
+    def on_round(self, ctx, inbox):
+        if ctx.round == 0:
+            ctx.broadcast(1)
+        else:
+            ctx.halt()
+
+
+@pytest.mark.parametrize("engine", [Runner, EventRunner])
+def test_engine_pool_checkout_does_not_corrupt_live_runner(engine):
     """A runner whose pooled state was checked out by a newer runner must
     rebuild private state instead of leaking into the thief's buffers."""
-
-    class CastOnce(NodeAlgorithm):
-        def on_round(self, ctx, inbox):
-            if ctx.round == 0:
-                ctx.broadcast(1)
-            else:
-                ctx.halt()
-
     g = graphs.path_graph(4)
-    a = Runner(g, {u: CastOnce() for u in g.nodes()}, Mode.CONGEST)
+    a = engine(g, {u: CastOnce() for u in g.nodes()}, Mode.CONGEST)
     baseline = a.run().total_messages  # clean run returns state to the pool
     assert baseline == 6  # one broadcast per node: 2 messages per edge
 
     # b's __init__ checks the pooled state out and repoints it at b.  A
     # second run of a (stateless algorithms, so semantically a replay) must
     # rebuild its own state rather than metering into b's buffers.
-    b = Runner(g, {u: CastOnce() for u in g.nodes()}, Mode.CONGEST)
+    b = engine(g, {u: CastOnce() for u in g.nodes()}, Mode.CONGEST)
     a.metrics = Metrics()
     assert a.run().total_messages == baseline
     assert b._bcast_src == [] and b._out_ports == []  # nothing leaked into b
     assert b.run().total_messages == baseline
+
+
+def test_engine_pool_shared_by_interleaved_round_and_event_runners():
+    """Both runner classes check state out of one pool on the IndexedGraph;
+    interleaved runs over the same view stay isolated and agree."""
+    g = graphs.cycle_graph(5)
+    view = IndexedGraph.of(g)
+
+    def make(engine, **kwargs):
+        return engine(view, {u: CastOnce() for u in g.nodes()}, Mode.CONGEST, **kwargs)
+
+    a = make(Runner)
+    expected = a.run().to_dict()  # parks a's state in the pool
+    pooled = view._engine_pool[0]
+    b = make(EventRunner)  # checks a's state out
+    assert b._contexts_by_index is pooled
+    c = make(EventRunner, latency="uniform:2")  # pool now empty: builds fresh
+    assert c._contexts_by_index is not pooled
+    a.metrics = Metrics()
+    assert a.run().to_dict() == expected  # a rebuilds, then parks its state
+    d = make(Runner)  # checks a's new state out
+    assert b.run().to_dict() == expected
+    assert b._bcast_src == [] and b._out_ports == []
+    assert c.run().to_dict()["total_messages"] == expected["total_messages"]
+    assert d.run().to_dict() == expected
 
 
 def test_parity_with_non_integer_labels():
