@@ -73,12 +73,14 @@ def energy_approx_cssp(
     metrics: Metrics | None = None,
     base: int = 4,
     stretch: int = 3,
+    memo: dict | None = None,
 ) -> dict:
     """Lemma 2.1's cutter with the BFS run in the sleeping model.
 
     Identical rounding arithmetic to :func:`repro.core.cutter.approx_cssp`;
     the rounded thresholded BFS goes through a freshly built layered cover
-    and Theorem 3.8.  This is the Section 3.7 substitution.
+    and Theorem 3.8.  This is the Section 3.7 substitution.  ``memo`` is
+    the sparse-cover memo of :func:`repro.energy.covers.build_sparse_cover`.
     """
     metrics = metrics if metrics is not None else Metrics()
     if not sources:
@@ -89,7 +91,7 @@ def energy_approx_cssp(
     rounded_sources = {s: -(-offset // q) for s, offset in sources.items()}
     threshold = -(-2 * bound // q) + n + 1
     cover = build_layered_cover(
-        rounded, threshold, base=base, stretch=stretch, metrics=metrics
+        rounded, threshold, base=base, stretch=stretch, metrics=metrics, memo=memo
     )
     rounded_dist, _sched = run_low_energy_bfs(
         rounded, cover, rounded_sources, threshold, metrics=metrics
@@ -111,6 +113,12 @@ def energy_cssp(
     The Section 2.3 recursion with the cutter's BFS replaced by the
     sleeping-model thresholded BFS.  Positive integer weights (contract
     zero-weight edges with :func:`repro.core.cssp.cssp` first if needed).
+
+    The recursion hands the cutter the same graph again and again (``V1``
+    keeps every node; quantum-1 rounding copies its input), so one
+    sparse-cover memo serves every cutter call of this run.  It dies with
+    the call: each run still pays for its own constructions, and the
+    charged cost is unchanged.
     """
     metrics = metrics if metrics is not None else Metrics()
     source_offsets = dict(sources) if isinstance(sources, dict) else {s: 0 for s in sources}
@@ -123,9 +131,11 @@ def energy_cssp(
             "energy_cssp needs positive weights; contract zero-weight edges first"
         )
 
+    memo: dict = {}
+
     def cutter(g, srcs, e, b, *, metrics):
         return energy_approx_cssp(
-            g, srcs, e, b, metrics=metrics, base=base, stretch=stretch
+            g, srcs, e, b, metrics=metrics, base=base, stretch=stretch, memo=memo
         )
 
     bound = distance_upper_bound(graph)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graphs import Graph, INFINITY
+from ..graphs import Graph, IndexedGraph, INFINITY
 from ..sim import Metrics
 from .decomposition import Cluster, build_decomposition
 from .labeled_bfs import run_labeled_bfs
@@ -120,20 +120,57 @@ def build_sparse_cover(
     *,
     stretch: int | None = None,
     metrics: Metrics | None = None,
+    memo: dict | None = None,
 ) -> SparseCover:
     """Theorem 3.11: sparse ``d``-cover from a ``(2d+1)``-separated
     decomposition, one labeled depth-``d`` BFS expansion per color.
 
     ``stretch`` caps the decomposition clusters' growth radius at
     ``stretch * (2d+1)`` — the scaled stand-in for RG20's ``O(log^3 n)``
-    stretch factor (defaults to ``2 * ceil(log2 n)``).  Pass ``None``
-    explicitly scaled values in experiments to study the tradeoff (E13).
+    stretch factor.  ``None`` (the default) means ``2 * ceil(log2 n)``;
+    experiments pass explicit values to study the tradeoff (E13).
+
+    ``memo`` is a caller-owned dict that shares constructions between
+    calls.  The construction is a pure function of the graph's node order,
+    its CSR columns in port order, ``d`` and ``stretch``, so an input seen
+    before returns the stored cover and charges its metered cost again
+    through :meth:`Metrics.merge`.  Only plain :class:`Metrics` take the
+    memo: subclasses see every event through their hooks, which a replay
+    cannot reproduce.
     """
     import math
 
     metrics = metrics if metrics is not None else Metrics()
     if stretch is None:
         stretch = 2 * max(1, math.ceil(math.log2(max(2, graph.num_nodes))))
+    if memo is None or type(metrics) is not Metrics:
+        return _construct_sparse_cover(graph, d, stretch, metrics)
+    key = _cover_key(graph, d, stretch)
+    entry = memo.get(key)
+    if entry is None:
+        cost = Metrics()
+        entry = memo[key] = (_construct_sparse_cover(graph, d, stretch, cost), cost)
+    cover, cost = entry
+    metrics.merge(cost, sequential=True)
+    return cover
+
+
+def _cover_key(graph: Graph, d: int, stretch: int) -> tuple:
+    """Everything :func:`_construct_sparse_cover` reads from its input.
+
+    Node and port order decide step and message order, so the key is the
+    CSR snapshot itself, not the edge set.
+    """
+    view = IndexedGraph.of(graph)
+    return (
+        tuple(view.labels), tuple(view.indptr), tuple(view.nbr), tuple(view.wt),
+        d, stretch,
+    )
+
+
+def _construct_sparse_cover(
+    graph: Graph, d: int, stretch: int, metrics: Metrics
+) -> SparseCover:
     decomposition = build_decomposition(
         graph, 2 * d + 1, metrics=metrics, radius_cap=stretch * (2 * d + 1)
     )
@@ -244,6 +281,7 @@ def build_layered_cover(
     base: int = 4,
     stretch: int | None = None,
     metrics: Metrics | None = None,
+    memo: dict | None = None,
 ) -> LayeredCover:
     """Build a layered sparse cover reaching radius ``>= 2 * target``.
 
@@ -251,6 +289,7 @@ def build_layered_cover(
     ``max(base * r_j, 2 * measured tree radius)`` so the containment margin
     of Observation 3.3 holds by construction.  Construction stops early
     when some cluster already spans the whole graph (Section 3.6).
+    ``memo`` is passed to every :func:`build_sparse_cover` call.
     """
     metrics = metrics if metrics is not None else Metrics()
     if base < 2:
@@ -262,7 +301,7 @@ def build_layered_cover(
     w_max = max(1, graph.max_weight())
     radius_floor = 4 * w_max + 4
     radii = [1]
-    levels = [build_sparse_cover(graph, 1, stretch=stretch, metrics=metrics)]
+    levels = [build_sparse_cover(graph, 1, stretch=stretch, metrics=metrics, memo=memo)]
     while True:
         cover = levels[-1]
         if cover.has_universal_cluster(graph) or radii[-1] >= 2 * target:
@@ -274,7 +313,11 @@ def build_layered_cover(
             radius_floor,
         )
         radii.append(next_radius)
-        levels.append(build_sparse_cover(graph, next_radius, stretch=stretch, metrics=metrics))
+        levels.append(
+            build_sparse_cover(
+                graph, next_radius, stretch=stretch, metrics=metrics, memo=memo
+            )
+        )
 
     # Parent assignment: parent(C) = level-(j+1) home cluster of C's root,
     # which contains B(root, r_{j+1}) >= C plus its r_{j+1}/2-neighborhood.
