@@ -39,9 +39,9 @@ Commands
     ``--plugins`` resolves the algorithm registry (entry points +
     ``REPRO_PLUGINS``) and lints the driver/oracle source behind it,
     ``--select/--ignore`` filter rules, ``--list-rules`` prints the
-    catalog, ``--output sarif`` emits SARIF 2.1.0, ``--cache FILE``
-    keeps a content-hash incremental cache.  Exit 0 clean, 1 findings,
-    2 usage.
+    catalog, ``--output sarif`` emits SARIF 2.1.0, ``--json`` adds the
+    flow-model counts (functions, call edges, unresolved edges).  Exit 0
+    clean, 1 findings, 2 usage.
 
 ``sweep``, ``bench``, and ``report`` accept ``--spec FILE`` (a JSON spec
 artifact, see ``EXPERIMENTS.md``); every subcommand accepts ``--json``
@@ -430,7 +430,6 @@ def _cmd_report(args, parser) -> int:
 
 def _cmd_lint(args, parser) -> int:
     from repro.lint import (
-        LintCache,
         RULES,
         lint_paths,
         lint_plugins,
@@ -464,7 +463,6 @@ def _cmd_lint(args, parser) -> int:
         parser.error("lint needs at least one path (or --plugins / --list-rules)")
 
     flow = not args.no_flow
-    cache = LintCache(args.cache) if args.cache else None
     findings = []
     checked: list[str] = []
     stats: dict = {}
@@ -472,7 +470,7 @@ def _cmd_lint(args, parser) -> int:
         try:
             path_findings, path_checked = lint_paths(
                 args.paths, select=args.select, ignore=args.ignore,
-                flow=flow, cache=cache, stats=stats,
+                flow=flow, stats=stats,
             )
         except FileNotFoundError as exc:
             parser.error(str(exc))
@@ -495,14 +493,12 @@ def _cmd_lint(args, parser) -> int:
             stats["flow"] = plugin_stats["flow"]
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    flow_stats = stats.get("flow")
     if output == "json":
         print(json.dumps({
             "version": 1,
             "files_checked": checked,
             "findings": [finding.to_dict() for finding in findings],
-            "flow": flow_stats,
-            "cache": stats.get("cache"),
+            "flow": stats.get("flow"),
         }, indent=2))
         return 1 if findings else 0
     if output == "sarif":
@@ -512,14 +508,6 @@ def _cmd_lint(args, parser) -> int:
         return 1 if findings else 0
     for finding in findings:
         print(finding.render())
-    if flow_stats and flow_stats.get("unresolved_edges"):
-        print(
-            f"note: flow analysis left {flow_stats['unresolved_edges']} "
-            "call edge(s) unresolved; F rules degrade to silence only on "
-            "evidence, so unresolved callees are assumed to consume their "
-            "arguments",
-            file=sys.stderr,
-        )
     noun = "file" if len(checked) == 1 else "files"
     if findings:
         print(f"{len(findings)} finding(s) in {len(checked)} {noun} checked")
@@ -631,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--output", choices=("text", "json", "sarif"),
                       help="output format (default text; sarif emits a "
                       "SARIF 2.1.0 log for code-scanning upload)")
-    lint.add_argument("--cache", metavar="FILE",
-                      help="content-hash incremental cache: unchanged files "
-                      "replay recorded findings; flow findings replay only "
-                      "when the transitive import closure is unchanged")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("--json", action="store_true", help="machine-readable output")

@@ -37,8 +37,7 @@ Quickstart::
 
 The layering is strict: this package sits *above* the engine
 (:mod:`repro.sim`) and *below* the front ends (:mod:`repro.__main__`,
-:mod:`repro.bench`); :func:`repro.sim.experiments.run_sweep` survives as a
-thin deprecated shim over :func:`run_sweep_spec`.
+:mod:`repro.bench`).
 """
 
 from .algorithms import (

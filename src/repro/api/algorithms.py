@@ -217,11 +217,11 @@ def check_params(spec: AlgorithmSpec, params: dict) -> None:
     """Validate scenario ``params`` against ``spec.param_schema``.
 
     Every parameter must be declared in the schema and carry a value of
-    the declared type.  When the spec declares *no* schema (bare drivers
-    registered via the legacy path), the driver is resolved and its
-    signature checked instead, so an unknown keyword still fails here —
-    at registration, with a pinpointed ``ValueError`` — rather than as a
-    ``TypeError`` inside a forked sweep worker.
+    the declared type.  When the spec declares *no* schema (a bare
+    ``driver`` callable with an empty ``entry_point``), the driver is
+    resolved and its signature checked instead, so an unknown keyword
+    still fails here — at registration, with a pinpointed ``ValueError``
+    — rather than as a ``TypeError`` inside a forked sweep worker.
     """
     if not params:
         return

@@ -11,8 +11,10 @@ Records are flushed line-by-line as cells finish, which makes the store
 interruption-safe: a killed sweep leaves at most one truncated trailing
 line, which :meth:`ResultSet.open` tolerates and drops on reload (a torn
 line *mid*-file — a crash during a concurrent shard write, later appended
-past — is skipped with a warning rather than aborting the load).  Resume
-(:func:`repro.api.run_sweep_spec`) is key-based — :func:`cell_key` maps a
+past — is skipped with a warning rather than aborting the load, and so
+is any line that parses but is not a current record, such as a row from
+a store written before records carried ``size`` and ``params_digest``).
+Resume (:func:`repro.api.run_sweep_spec`) is key-based — :func:`cell_key` maps a
 record to its cell — so finished work is never re-run and the reassembled
 table is identical to an uninterrupted run.
 
@@ -38,6 +40,9 @@ __all__ = ["ResultSet", "cell_key", "failure_record", "is_failure"]
 #: Marker value of the ``status`` field of a failed-cell record.
 FAILED = "failed"
 
+#: The record fields :func:`cell_key` reads, in key order.
+KEY_FIELDS = ("scenario", "size", "seed", "params_digest")
+
 
 def cell_key(row: dict) -> tuple:
     """The resume key of a record: ``(scenario, size, seed, params_digest)``.
@@ -46,24 +51,20 @@ def cell_key(row: dict) -> tuple:
     instance's node count): graph families may round the request — a grid
     at size 12 builds a 3x3 = 9-node instance — and keying on the actual
     count made every resume lookup miss on such families, silently
-    re-running their cells on each resume.  Records from pre-``size``
-    stores fall back to ``row["n"]`` (identical whenever the family honors
-    the request exactly).
+    re-running their cells on each resume.
 
     ``params_digest`` (:func:`repro.sim.experiments.scenario_digest`) pins
     the scenario *definition* — family, algorithm, ``max_weight``, params —
     the cell was computed under.  Without it, resuming a store after a
     scenario's params changed would silently reuse rows computed under the
     old definition; with it, stale cells simply miss the lookup and re-run.
-    Records from pre-digest stores key with ``""`` — never matching a
-    current definition, so they are re-run rather than trusted.
     """
-    return (
-        row["scenario"],
-        row.get("size", row["n"]),
-        row["seed"],
-        row.get("params_digest", ""),
-    )
+    return tuple(row[field] for field in KEY_FIELDS)
+
+
+def _is_record(value) -> bool:
+    """Whether a parsed store line is a current record (carries every key field)."""
+    return isinstance(value, dict) and all(field in value for field in KEY_FIELDS)
 
 
 def is_failure(record: dict) -> bool:
@@ -96,8 +97,8 @@ def failure_record(
 class ResultSet:
     """An append-only store of sweep records with key-based resume.
 
-    ``path=None`` keeps records in memory only (the non-persistent fast
-    path used by the legacy :func:`~repro.sim.experiments.run_sweep` shim).
+    ``path=None`` keeps records in memory only (a sweep spec without an
+    ``output`` runs against such a store).
     With a path, every :meth:`append` writes and flushes one JSONL line, and
     construction loads any records a previous (possibly interrupted) run
     left behind.
@@ -107,11 +108,11 @@ class ResultSet:
         self.path = Path(path) if path is not None else None
         self._rows: list[dict] = []
         self._by_key: dict[tuple, dict] = {}
-        # (scenario, n, seed) -> index into _rows, for superseding stale
+        # (scenario, size, seed) -> index into _rows, for superseding stale
         # rows recorded under an older scenario definition (digest).
         self._by_coords: dict[tuple, int] = {}
-        # (scenario, n, seed) -> failed-cell record; a success at the same
-        # coordinates evicts the failure.
+        # (scenario, size, seed) -> failed-cell record; a success at the
+        # same coordinates evicts the failure.
         self._failed: dict[tuple, dict] = {}
         self._handle = None
         if self.path is not None and self.path.exists():
@@ -146,10 +147,14 @@ class ResultSet:
                     with self.path.open("rb+") as handle:
                         handle.truncate(raw.rfind(b"\n") + 1)
                     break
+                record = None
+            if not _is_record(record):
                 # A torn line *mid*-file means a writer crashed and a later
                 # run appended past the wreckage (e.g. concurrent shard
-                # writes).  Only that one cell is lost — skip it loudly and
-                # keep every intact record; the cell re-runs on resume.
+                # writes); a line that parses but lacks a key field is not
+                # a current record (e.g. a pre-size/pre-digest row).  Only
+                # that one cell is lost — skip it loudly and keep every
+                # intact record; the cell re-runs on resume.
                 warnings.warn(
                     f"{self.path}:{index + 1}: skipping corrupt result line "
                     f"{stripped[:80]!r}",
@@ -158,38 +163,27 @@ class ResultSet:
                 )
                 continue
             self._remember(record)
+        else:
+            if raw and not raw.endswith(b"\n"):
+                # The last line parsed but has no newline (a hand-edited
+                # store, or a skipped non-record tail): end it, so the next
+                # append starts a fresh line instead of joining onto it.
+                with self.path.open("ab") as handle:
+                    handle.write(b"\n")
 
     def _remember(self, record: dict) -> bool:
         """Fold ``record`` into the indexes; True if it changed the store."""
         key = cell_key(record)
-        coords = key[:3]  # (scenario, n, seed), digest-independent
+        coords = key[:3]  # (scenario, size, seed), digest-independent
         if is_failure(record):
             if coords in self._by_coords or coords in self._failed:
                 return False  # a success (or the first failure) wins
             self._failed[coords] = record
             return True
-        if key in self._by_key and not (
-            "size" in record and "size" not in self._by_key[key]
-        ):
+        if key in self._by_key:
             return False  # first write wins: resumed runs may not duplicate cells
         self._failed.pop(coords, None)  # a real measurement beats a placeholder
         index = self._by_coords.get(coords)
-        if index is None and "size" in record:
-            # A pre-"size" record may sit at this cell's *built*-size
-            # address (families that round the request — grid 12 -> 9 nodes
-            # — were recorded under n).  Such records are never reused by
-            # resume (the addressing is ambiguous: an n=9 legacy row could
-            # be the size-9 cell or the size-12 cell), so the first fresh
-            # record whose built size matches recycles the stale slot in
-            # place — rows() must not keep the superseded measurement
-            # beside its replacement.  A record at that address that *has*
-            # a size field is a genuinely different live cell (the built
-            # size requested exactly) and is left alone.
-            legacy_coords = (record["scenario"], record["n"], record["seed"])
-            legacy = self._by_coords.get(legacy_coords)
-            if legacy is not None and "size" not in self._rows[legacy]:
-                index = self._by_coords.pop(legacy_coords)
-                self._by_coords[coords] = index
         if index is not None:
             # Same cell coordinates under a *different* scenario definition:
             # the newer record supersedes the stale one in place (keeping
@@ -264,7 +258,7 @@ class ResultSet:
     # reading
     # ------------------------------------------------------------------
     def rows(self) -> list[dict]:
-        """All successful records, one per ``(scenario, n, seed)`` cell.
+        """All successful records, one per ``(scenario, size, seed)`` cell.
 
         Cells appear in first-append order; a cell re-run under a changed
         scenario definition supersedes its stale predecessor in place, so

@@ -1,9 +1,8 @@
 """Spec executors: the one engine behind every front end.
 
 :func:`run_sweep_spec` is the production path of the experiment harness —
-``python -m repro sweep``, the ``repro`` console script, the CI smoke entry,
-and the legacy :func:`repro.sim.experiments.run_sweep` shim all funnel into
-it.  It owns the orchestration policy:
+``python -m repro sweep``, the ``repro`` console script and the CI smoke
+entry all funnel into it.  It owns the orchestration policy:
 
 * **fail fast** — the spec is validated and every scenario name resolved
   *before* any worker forks;
@@ -454,13 +453,6 @@ def run_sweep_spec(
     }
     for index, (name, n, seed) in enumerate(tasks):
         record = store.get((name, n, seed, digests[name]))
-        if record is not None and "size" not in record:
-            # Pre-"size" records were keyed by the BUILT size, which is
-            # ambiguous on families that round the request (an n=9 grid
-            # row could answer size 9 or size 12).  Like pre-digest
-            # records, they are re-run rather than trusted; the fresh
-            # record supersedes the stale row in the store.
-            record = None
         if record is not None:
             rows[index] = _tidy(record, experiments.ROW_FIELDS)
         else:

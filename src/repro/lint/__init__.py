@@ -13,7 +13,6 @@ See :mod:`repro.lint.engine` for the rule engine and pragma syntax,
 ``repro lint --list-rules`` for the live catalog.
 """
 
-from .cache import LintCache
 from .engine import (
     Finding,
     FlowRule,
@@ -34,7 +33,6 @@ __all__ = [
     "Rule",
     "FlowRule",
     "RULES",
-    "LintCache",
     "lint_source",
     "lint_file",
     "lint_paths",

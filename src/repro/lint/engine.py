@@ -368,7 +368,6 @@ def _analyze_source(
     path: str,
     select: tuple | None,
     ignore: tuple | None,
-    run_rules: bool = True,
 ) -> dict:
     """Parse and run the visitor rules on one file.
 
@@ -406,8 +405,6 @@ def _analyze_source(
     suppressed, pragma_findings = _collect_pragmas(source, path, known_ids)
     cover = _pragma_cover(tree)
     record.update(tree=tree, suppressed=suppressed, cover=cover)
-    if not run_rules:  # tree/pragmas only: cache hit still feeds the model
-        return record
     findings: list[Finding] = record["findings"]
     if _meta_active(PRAGMA_RULE_ID, select, ignore):
         findings.extend(pragma_findings)
@@ -430,7 +427,6 @@ def _flow_findings(
     ignore: tuple | None,
     extra_files: list | None = None,
     stats: dict | None = None,
-    model_sink: dict | None = None,
 ) -> list[Finding]:
     """Run the active flow rules over the project the records form.
 
@@ -439,8 +435,7 @@ def _flow_findings(
     are dropped (plugins mode resolves into ``repro.*`` without
     re-reporting the library).  ``stats``, when given, receives the model
     shape: function/edge counts and the unresolved-edge total that the
-    CLI surfaces as a warning (degraded resolution is visible, never a
-    silent pass).
+    CLI's ``--json`` ``flow`` block reports.
     """
     active = [
         rule
@@ -460,8 +455,6 @@ def _flow_findings(
         if extra[0] not in seen_paths:
             files.append(extra)
     model = ProjectModel(files)
-    if model_sink is not None:
-        model_sink["model"] = model
     if stats is not None:
         stats["functions"] = len(model.functions)
         stats["call_edges"] = len(model.edges)
@@ -537,7 +530,6 @@ def lint_paths(
     select: tuple | None = None,
     ignore: tuple | None = None,
     flow: bool = True,
-    cache=None,
     stats: dict | None = None,
 ) -> tuple[list[Finding], list[str]]:
     """Lint files and directory trees; return ``(findings, files_checked)``.
@@ -550,13 +542,8 @@ def lint_paths(
 
     With ``flow`` (default) the run is a *project*: all files are parsed
     into one :class:`~repro.lint.project.ProjectModel` and the F rules
-    run across it after the per-file visitor rules.  ``cache`` accepts a
-    :class:`repro.lint.cache.LintCache`: files whose content digest and
-    active-rule-set are unchanged skip the visitor pass, and the flow
-    pass is skipped entirely when every file's import closure is
-    unchanged (see the cache module for the invalidation rules).
-    ``stats``, when given, is filled with flow/cache counters for the
-    CLI's JSON output.
+    run across it after the per-file visitor rules.  ``stats``, when
+    given, is filled with the flow counters for the CLI's JSON output.
     """
     file_paths: list[Path] = []
     for raw in paths:
@@ -566,49 +553,17 @@ def lint_paths(
         file_paths.extend(_python_files(path))
     checked = [str(p) for p in file_paths]
 
-    active_ids = sorted(r.id for r in resolve_rule_selection(select, ignore))
-    if cache is not None:
-        cache.begin(active_ids, flow)
     records: list[dict] = []
     findings: list[Finding] = []
     for file_path in file_paths:
         source = file_path.read_text(encoding="utf-8")
-        key = str(file_path)
-        cached = cache.lookup(key, source) if cache is not None else None
-        if cached is not None:
-            file_findings = cached
-            if flow:  # the tree is still needed for the project model
-                record = _analyze_source(
-                    source, key, select, ignore, run_rules=False
-                )
-                record["findings"] = list(file_findings)
-                records.append(record)
-        else:
-            record = _analyze_source(source, key, select, ignore)
-            file_findings = list(record["findings"])
-            if cache is not None:
-                cache.store(key, source, file_findings)
-            records.append(record)
-        findings.extend(file_findings)
+        record = _analyze_source(source, str(file_path), select, ignore)
+        records.append(record)
+        findings.extend(record["findings"])
     flow_stats: dict = {}
     if flow:
-        cached_flow = cache.lookup_flow(checked) if cache is not None else None
-        if cached_flow is not None:
-            findings.extend(cached_flow)
-            flow_stats["source"] = "cache"
-        else:
-            model_sink: dict = {}
-            flow_found = _flow_findings(
-                records, select, ignore, stats=flow_stats, model_sink=model_sink
-            )
-            flow_stats["source"] = "analysis"
-            findings.extend(flow_found)
-            if cache is not None:
-                cache.store_flow(model_sink.get("model"), checked, flow_found)
-    if cache is not None:
-        cache.save()
+        findings.extend(_flow_findings(records, select, ignore, stats=flow_stats))
     if stats is not None:
         stats["flow"] = flow_stats if flow else None
-        stats["cache"] = cache.stats if cache is not None else None
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, checked

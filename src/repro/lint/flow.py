@@ -19,12 +19,12 @@ re-walked until the environment stabilizes.  Tags only accumulate, so a
 name rebound after use keeps its old tags — deliberately conservative:
 the linter would rather follow a dead binding than miss a live one.
 
-Unresolved calls degrade loudly, never silently: a value passed into a
+Unresolved calls never produce false findings: a value passed into a
 call the :class:`~repro.lint.project.ProjectModel` cannot resolve is
 treated as *consumed* (so F301 never fires on evidence the model does
 not have) and the unresolved edge itself stays visible through
-``ProjectModel.unresolved_edges`` — surfaced by the CLI as a flow
-warning rather than a gating finding.
+``ProjectModel.unresolved_edges`` — counted in the ``flow`` block of
+``repro lint --json`` rather than reported as a gating finding.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ shared substrate those checks need:
   functions, classes and methods, and a package-wide **call graph**.
 * Call resolution is best effort and honest about it: every call site
   becomes a :class:`CallEdge`; edges the model cannot resolve to a
-  project function carry ``callee=None`` and a reason, and are reported
-  (never silently dropped) via :meth:`ProjectModel.unresolved_edges`.
+  project function carry ``callee=None`` and a reason, and are counted
+  (never silently dropped) via :meth:`ProjectModel.unresolved_edges`;
+  ``repro lint --json`` reports that count in its ``flow`` block.
 * :class:`Topology` — classifies functions as supervisor-side vs
   worker-side from ``Process(target=...)`` and pool dispatch sites, with
   the argument binding at each spawn site (which caller value lands in
@@ -472,42 +473,9 @@ class ProjectModel:
                     self.edges.append(edge)
                     self.calls_by_caller.setdefault(info.qualname, []).append(edge)
 
-    def import_dependencies(self) -> dict:
-        """``{path: [paths]}``: project-internal files each file imports.
-
-        This is the invalidation edge set for the flow cache: a change in
-        any transitively imported file can change a module's flow
-        findings, so the cache follows these edges when deciding whether
-        a stored result is still valid.
-        """
-        deps: dict[str, list] = {}
-        for module in self.modules.values():
-            paths: set = set()
-            for target in module.imports.values():
-                parts = target.split(".")
-                for cut in range(len(parts), 0, -1):
-                    owner = self.modules.get(".".join(parts[:cut]))
-                    if owner is not None:
-                        if owner.path != module.path:
-                            paths.add(owner.path)
-                        break
-            deps[module.path] = sorted(paths)
-        return deps
-
-    def unresolved_edges(self, internal_only: bool = False) -> list[CallEdge]:
-        """Call sites the model could not resolve, for visible reporting.
-
-        ``internal_only`` restricts to edges whose root name looks like a
-        project module (a genuinely missed resolution, not numpy/stdlib).
-        """
-        out = []
-        for edge in self.edges:
-            if edge.resolved:
-                continue
-            if internal_only and edge.reason and edge.reason.startswith("external"):
-                continue
-            out.append(edge)
-        return out
+    def unresolved_edges(self) -> list[CallEdge]:
+        """Call sites the model could not resolve, for visible reporting."""
+        return [edge for edge in self.edges if not edge.resolved]
 
     def bind_arguments(self, call: ast.Call, callee: FunctionInfo) -> list:
         """``(param_name, arg_expr)`` pairs for a resolved call.

@@ -155,6 +155,19 @@ class TestSweepSpecCLI:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == first
 
+    def test_store_line_that_is_not_a_record_is_skipped_and_rerun(self, tmp_path, capsys):
+        store = tmp_path / "runs.jsonl"
+        argv = ["sweep", "--scenarios", "bfs/grid", "--sizes", "9,16",
+                "--seeds", "0", "--output", str(store), "--json"]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        lines = store.read_text().splitlines()
+        store.write_text(lines[0] + "\n" + '{"foo": 1}' + "\n")
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:2: skipping"):
+            assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == first
+        assert len(store.read_text().splitlines()) == 3  # the cell re-ran
+
     def test_wrong_spec_kind_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "bench.json"
         spec_file.write_text(json.dumps({"kind": "bench"}))

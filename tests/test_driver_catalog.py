@@ -311,8 +311,9 @@ class TestParamsAwareResume:
         assert store.rows()[0]["params_digest"] == second[0]["params_digest"]
 
     def test_pre_digest_store_is_not_trusted(self, tmp_path):
-        # A store written before the digest column keys with "" — it must
-        # miss the lookup and re-run rather than be silently reused.
+        # A store written before the digest column is not a current
+        # record: the load skips it with a warning and the cell re-runs
+        # rather than being silently reused.
         path = tmp_path / "runs.jsonl"
         spec = SweepSpec(scenarios=("bfs/grid",), sizes=(9,), seeds=(0,),
                          output=str(path))
@@ -321,5 +322,6 @@ class TestParamsAwareResume:
         del record["params_digest"]
         record["rounds"] = -1  # poison: reuse would be visible
         path.write_text(json.dumps(record) + "\n")
-        rows = run_sweep_spec(spec)
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:1: skipping"):
+            rows = run_sweep_spec(spec)
         assert rows[0]["rounds"] > 0

@@ -65,27 +65,6 @@ class TestRegistry:
 
             experiments._SCENARIOS.pop(name, None)
 
-    def test_legacy_register_algorithm_callable(self):
-        from repro.api import algorithms
-        from repro.sim import experiments
-        from repro.sim.experiments import register_algorithm
-
-        calls = []
-
-        def driver(graph, seed, metrics):
-            calls.append(seed)
-            metrics.record_rounds(1)
-
-        register_algorithm("test-only-driver", driver)
-        register_scenario(Scenario("test-only/driver", "path", "test-only-driver"))
-        try:
-            row = run_scenario("test-only/driver", 6, seed=9)
-            assert calls == [9]
-            assert row["rounds"] == 1
-        finally:
-            experiments._SCENARIOS.pop("test-only/driver", None)
-            algorithms._SPECS.pop("test-only-driver", None)
-
 
 class TestRunScenario:
     def test_row_shape(self):

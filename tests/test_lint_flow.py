@@ -1,4 +1,4 @@
-"""Whole-program flow analysis: project model, F rules, SARIF, cache."""
+"""Whole-program flow analysis: project model, F rules, SARIF."""
 
 import ast
 import json
@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from repro.__main__ import main
-from repro.lint import LintCache, RULES, lint_paths, lint_source
+from repro.lint import RULES, lint_paths, lint_source
 from repro.lint.flow import FlowAnalysis
 from repro.lint.project import ProjectModel
 from repro.lint.sarif import sarif_document
@@ -143,19 +143,6 @@ class TestCallGraph:
         unresolved = model.unresolved_edges()
         assert len(unresolved) == 1
         assert unresolved[0].reason
-        # internal_only filters the library noise out of the warning count
-        assert model.unresolved_edges(internal_only=True) == []
-
-    def test_import_dependencies_follow_the_import_graph(self, tmp_path):
-        model = make_model(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/util.py": "def helper():\n    return 1\n",
-            "pkg/app.py": "from .util import helper\n",
-        })
-        deps = model.import_dependencies()
-        app = str(tmp_path / "pkg" / "app.py")
-        util = str(tmp_path / "pkg" / "util.py")
-        assert util in deps[app]
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +249,35 @@ class TestDegradation:
         assert "unresolved_edges" in flow
         assert flow["spawn_sites"] >= 1
 
+    def test_clean_cli_run_writes_nothing_to_stderr(self, capsys):
+        # The unresolved-edge count lives in the --json flow block only; a
+        # clean text run prints its summary and nothing else.
+        good = str(FIXTURES / "f301_good.py")
+        assert main(["lint", good]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "1 file clean\n"
+        assert main(["lint", good, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "unresolved_edges" in json.loads(captured.out)["flow"]
+
+
+    def test_json_flow_block_counts_every_unresolved_edge(self, capsys):
+        assert main(["lint", str(FLOWPKG), "--json", "--select", "F"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert "cache" not in data
+        files = sorted(FLOWPKG.rglob("*.py"))
+        model = ProjectModel(
+            [(str(p), p.read_text(), ast.parse(p.read_text())) for p in files]
+        )
+        assert data["flow"]["unresolved_edges"] == len(model.unresolved_edges()) > 0
+
+    def test_removed_cache_flag_is_an_unknown_option(self, tmp_path, capsys):
+        good = str(FIXTURES / "f301_good.py")
+        assert main(["lint", good, "--cache", str(tmp_path / "c.json")]) == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
 # ----------------------------------------------------------------------
 # pragma placement regressions: multi-line statements, decorated defs
@@ -370,92 +386,6 @@ class TestSarif:
         assert main(["lint", good, "--output", "sarif"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"] == []
-
-
-# ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-def run_cached(tmp_path, target, **kwargs):
-    stats: dict = {}
-    cache = LintCache(tmp_path / "lint-cache.json")
-    findings, checked = lint_paths(
-        [str(target)], cache=cache, stats=stats, **kwargs
-    )
-    return findings, stats["cache"], stats["flow"]
-
-
-class TestCache:
-    def project(self, tmp_path):
-        root = tmp_path / "proj"
-        root.mkdir()
-        (root / "__init__.py").write_text("")
-        (root / "util.py").write_text("def helper(seed):\n    return None\n")
-        (root / "app.py").write_text(
-            "from .util import helper\n"
-            "\n\n"
-            "def drive_demo(graph, seed, metrics):\n"
-            "    helper(seed)\n"
-            "    return {}\n"
-        )
-        return root
-
-    def test_cold_then_warm_run(self, tmp_path):
-        root = self.project(tmp_path)
-        findings, cache_stats, flow = run_cached(tmp_path, root)
-        assert [f.rule for f in findings] == ["F301"]
-        assert cache_stats == {"hits": 0, "misses": 3, "flow": "recomputed"}
-        findings, cache_stats, flow = run_cached(tmp_path, root)
-        assert [f.rule for f in findings] == ["F301"]
-        assert cache_stats == {"hits": 3, "misses": 0, "flow": "reused"}
-        assert flow == {"source": "cache"}
-
-    def test_editing_a_dependency_recomputes_flow(self, tmp_path):
-        root = self.project(tmp_path)
-        run_cached(tmp_path, root)
-        # The fix lives in util.py: app.py itself is byte-identical, but
-        # its import closure changed, so the F301 must disappear.
-        (root / "util.py").write_text(
-            "import random\n"
-            "\n\n"
-            "def helper(seed):\n"
-            "    return random.Random(seed).random()\n"
-        )
-        findings, cache_stats, flow = run_cached(tmp_path, root)
-        assert findings == []
-        assert cache_stats["hits"] == 2
-        assert cache_stats["misses"] == 1
-        assert cache_stats["flow"] == "recomputed"
-
-    def test_changing_the_rule_set_drops_the_cache(self, tmp_path):
-        root = self.project(tmp_path)
-        run_cached(tmp_path, root)
-        _, cache_stats, _ = run_cached(tmp_path, root, select=("D",))
-        assert cache_stats["hits"] == 0
-        assert cache_stats["misses"] == 3
-
-    def test_corrupt_cache_file_degrades_to_cold(self, tmp_path):
-        root = self.project(tmp_path)
-        (tmp_path / "lint-cache.json").write_text("{not json")
-        findings, cache_stats, _ = run_cached(tmp_path, root)
-        assert [f.rule for f in findings] == ["F301"]
-        assert cache_stats["misses"] == 3
-
-    def test_cached_findings_round_trip_exactly(self, tmp_path):
-        root = self.project(tmp_path)
-        cold, _, _ = run_cached(tmp_path, root)
-        warm, _, _ = run_cached(tmp_path, root)
-        assert [f.to_dict() for f in warm] == [f.to_dict() for f in cold]
-
-    def test_cli_cache_flag_end_to_end(self, tmp_path, capsys):
-        root = self.project(tmp_path)
-        cache_file = tmp_path / "cli-cache.json"
-        assert main(["lint", str(root), "--cache", str(cache_file), "--json"]) == 1
-        first = json.loads(capsys.readouterr().out)
-        assert first["cache"]["misses"] == 3
-        assert main(["lint", str(root), "--cache", str(cache_file), "--json"]) == 1
-        second = json.loads(capsys.readouterr().out)
-        assert second["cache"]["hits"] == 3
-        assert second["findings"] == first["findings"]
 
 
 # ----------------------------------------------------------------------

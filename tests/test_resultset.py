@@ -1,23 +1,43 @@
 """ResultSet persistence and the resumable sweep executor."""
 
 import json
+import warnings
 
 import pytest
 
 from repro.api import ResultSet, SweepSpec, cell_key, run_sweep_spec
 from repro.sim import Metrics
-from repro.sim.experiments import ROW_FIELDS, run_sweep
+from repro.sim.experiments import ROW_FIELDS, get_scenario, scenario_digest
 
 SCENARIOS = ("bfs/grid", "bellman-ford/er")
 SPEC = SweepSpec(scenarios=SCENARIOS, sizes=(9, 16), seeds=(0, 1))
+
+
+def record(n: int, seed: int = 0, **fields) -> dict:
+    """A minimal current store record for cell ``("s", n, seed, "d")``."""
+    return {"scenario": "s", "n": n, "size": n, "seed": seed,
+            "params_digest": "d", **fields}
+
+
+def pre_size_grid_record() -> dict:
+    """A bfs/grid row as stores wrote it before records carried ``size``.
+
+    Such stores keyed rounding families by the BUILT size (grid 12 -> n=9),
+    so this row could be either the size-9 or the size-12 cell.
+    """
+    return {"scenario": "bfs/grid", "family": "grid", "algorithm": "bfs",
+            "n": 9, "m": 12, "seed": 0,
+            "params_digest": scenario_digest(get_scenario("bfs/grid")),
+            "rounds": 5, "messages": 48, "lost_messages": 0,
+            "congestion": 1, "energy": 2}
 
 
 class TestResultSetStore:
     def test_streams_one_json_line_per_append(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         store = ResultSet.open(path)
-        store.append({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
-        store.append({"scenario": "s", "n": 8, "seed": 1, "rounds": 4})
+        store.append(record(8, rounds=3))
+        store.append(record(8, seed=1, rounds=4))
         # Flushed line-by-line: readable mid-run, before close().
         lines = path.read_text().splitlines()
         assert len(lines) == 2
@@ -27,8 +47,7 @@ class TestResultSetStore:
     def test_reload_restores_rows_and_completed_index(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         with ResultSet.open(path) as store:
-            store.append({"scenario": "s", "n": 8, "seed": 0,
-                          "params_digest": "d0", "rounds": 3})
+            store.append(record(8, params_digest="d0", rounds=3))
         reloaded = ResultSet(path)
         assert len(reloaded) == 1
         assert reloaded.completed() == {("s", 8, 0, "d0")}
@@ -36,66 +55,116 @@ class TestResultSetStore:
 
     def test_duplicate_cells_keep_first_write(self, tmp_path):
         store = ResultSet.open(tmp_path / "runs.jsonl")
-        store.append({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
-        store.append({"scenario": "s", "n": 8, "seed": 0, "rounds": 99})
+        store.append(record(8, rounds=3))
+        store.append(record(8, rounds=99))
         store.close()
         assert len(store) == 1
-        assert store.get(("s", 8, 0, ""))["rounds"] == 3
+        assert store.get(("s", 8, 0, "d"))["rounds"] == 3
 
     def test_truncated_trailing_line_is_dropped(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        good = json.dumps({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
+        good = json.dumps(record(8, rounds=3))
         path.write_text(good + "\n" + '{"scenario": "s", "n": 16, "se')
         store = ResultSet(path)
-        assert store.completed() == {("s", 8, 0, "")}
+        assert store.completed() == {("s", 8, 0, "d")}
 
     def test_appending_after_a_torn_tail_keeps_the_file_loadable(self, tmp_path):
         # The torn line must be truncated away on disk, or the next append
         # would concatenate onto it and corrupt the store permanently.
         path = tmp_path / "runs.jsonl"
-        good = json.dumps({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
+        good = json.dumps(record(8, rounds=3))
         path.write_text(good + "\n" + '{"scenario": "s", "n": 16, "se')
         store = ResultSet(path)
-        store.append({"scenario": "s", "n": 16, "seed": 0, "rounds": 5})
+        store.append(record(16, rounds=5))
         store.close()
         reloaded = ResultSet(path)
-        assert reloaded.completed() == {("s", 8, 0, ""), ("s", 16, 0, "")}
-        assert reloaded.get(("s", 16, 0, ""))["rounds"] == 5
+        assert reloaded.completed() == {("s", 8, 0, "d"), ("s", 16, 0, "d")}
+        assert reloaded.get(("s", 16, 0, "d"))["rounds"] == 5
 
     def test_corrupt_interior_line_is_skipped_with_a_warning(self, tmp_path):
         # A torn line mid-file (a writer crashed, a later run appended past
         # it) loses exactly that cell — the load must keep every intact
         # record instead of aborting the whole store.
         path = tmp_path / "runs.jsonl"
-        good = json.dumps({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
+        good = json.dumps(record(8, rounds=3))
         path.write_text("not json\n" + good + "\n")
         with pytest.warns(RuntimeWarning, match="skipping corrupt result line"):
             store = ResultSet(path)
-        assert store.completed() == {("s", 8, 0, "")}
+        assert store.completed() == {("s", 8, 0, "d")}
 
-    def test_mid_file_torn_line_then_valid_append_loads(self, tmp_path):
+    @pytest.mark.parametrize("bad_line", [
+        '{"scenario": "s", "n": 16, "se',  # torn JSON prefix
+        '{"foo": 1}',  # parses, but no key fields
+        "[1, 2]",  # parses, not an object
+        "null",
+        # pre-size
+        json.dumps({"scenario": "s", "n": 16, "seed": 0, "params_digest": "d"}),
+        # pre-digest
+        json.dumps({"scenario": "s", "n": 16, "size": 16, "seed": 0}),
+    ])
+    def test_mid_file_bad_line_then_valid_append_loads(self, tmp_path, bad_line):
         # The crash-during-concurrent-write shape: a torn JSON prefix,
-        # *then* later valid appends.  Only the torn cell is lost.
+        # *then* later valid appends.  Only the torn cell is lost.  A line
+        # that parses but is not a current record loses its cell the same
+        # way, instead of crashing the load.
         path = tmp_path / "runs.jsonl"
-        first = json.dumps({"scenario": "s", "n": 8, "seed": 0, "rounds": 3})
-        torn = '{"scenario": "s", "n": 16, "se'
-        later = json.dumps({"scenario": "s", "n": 32, "seed": 0, "rounds": 7})
-        path.write_text(first + "\n" + torn + "\n" + later + "\n")
-        with pytest.warns(RuntimeWarning, match="runs.jsonl:2"):
+        first = json.dumps(record(8, rounds=3))
+        later = json.dumps(record(32, rounds=7))
+        path.write_text(first + "\n" + bad_line + "\n" + later + "\n")
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:2: skipping"):
             store = ResultSet(path)
-        assert store.completed() == {("s", 8, 0, ""), ("s", 32, 0, "")}
-        # The torn cell re-runs on resume and appends cleanly.
-        store.append({"scenario": "s", "n": 16, "seed": 0, "rounds": 5})
+        assert store.completed() == {("s", 8, 0, "d"), ("s", 32, 0, "d")}
+        # The lost cell re-runs on resume and appends cleanly.
+        store.append(record(16, rounds=5))
         store.close()
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:2: skipping"):
             reloaded = ResultSet(path)
-        assert reloaded.get(("s", 16, 0, ""))["rounds"] == 5
+        assert reloaded.get(("s", 16, 0, "d"))["rounds"] == 5
+        assert [r["size"] for r in reloaded.rows()] == [8, 32, 16]
+
+    @pytest.mark.parametrize("tail, kept", [
+        ('{"foo": 1}', 2),  # parses, not a record: skipped
+        (json.dumps(record(16, rounds=5)), 3),  # a current record: kept
+    ])
+    def test_appending_after_an_unterminated_last_line_keeps_both(
+        self, tmp_path, tail, kept
+    ):
+        # A last line that parses but lacks its newline is not a torn tail,
+        # so it is not truncated; the next append must still start a fresh
+        # line, or it would join onto the tail and be lost on reload.
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(record(8, rounds=3)) + "\n" + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            store = ResultSet(path)
+        store.append(record(32, rounds=7))
+        store.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reloaded = ResultSet(path)
+        assert ("s", 32, 0, "d") in reloaded.completed()
+        assert reloaded.get(("s", 32, 0, "d"))["rounds"] == 7
+        assert path.read_text().splitlines()[1] == tail
+        assert len(reloaded) == kept
 
     def test_memory_store_has_no_file(self):
         store = ResultSet()
-        store.append({"scenario": "s", "n": 8, "seed": 0})
+        store.append(record(8))
         assert store.path is None
-        assert ("s", 8, 0, "") in store
+        assert ("s", 8, 0, "d") in store
+
+
+class TestCellKey:
+    def test_key_is_the_four_key_fields_in_order(self):
+        row = {**record(12, seed=3, params_digest="d7"), "n": 9}
+        assert cell_key(row) == ("s", 12, 3, "d7")  # size, never the built n
+
+    @pytest.mark.parametrize("field", ["scenario", "size", "seed", "params_digest"])
+    def test_a_row_missing_a_key_field_has_no_key(self, field):
+        row = record(8)
+        del row[field]
+        with pytest.raises(KeyError, match=field):
+            cell_key(row)
 
 
 class TestSweepSpecExecution:
@@ -174,58 +243,52 @@ class TestResume:
         run_sweep_spec(spec, progress=lambda done, total, row: executed.append(row))
         assert executed == []
 
-    def test_resuming_a_pre_size_store_supersedes_not_duplicates(self, tmp_path):
-        # A PR4-era store recorded rounding-family cells under the BUILT
-        # size (grid 12 -> n=9, no "size" field).  Resuming re-runs the
-        # cell under requested-size addressing; the fresh record must
-        # supersede the legacy row in place, not sit beside it (tables and
-        # fits double-counting the cell would be silent corruption).
-        from repro.sim.experiments import get_scenario, scenario_digest
-
+    def test_resuming_a_pre_size_store_warns_and_reruns_the_cell(self, tmp_path):
+        # A store written before records carried "size" keyed rounding
+        # families by the BUILT size (grid 12 -> n=9).  Such a row is not a
+        # current record: the load skips it with a warning, the cell
+        # re-runs, and the table holds exactly one row for it.
         path = tmp_path / "runs.jsonl"
-        digest = scenario_digest(get_scenario("bfs/grid"))
-        legacy = {"scenario": "bfs/grid", "family": "grid", "algorithm": "bfs",
-                  "n": 9, "m": 12, "seed": 0, "params_digest": digest,
-                  "rounds": 5, "messages": 48, "lost_messages": 0,
-                  "congestion": 1, "energy": 2}
-        path.write_text(json.dumps(legacy) + "\n")
+        path.write_text(json.dumps(pre_size_grid_record()) + "\n")
         spec = SweepSpec(scenarios=("bfs/grid",), sizes=(12,), seeds=(0,),
                          output=str(path))
-        rows = run_sweep_spec(spec)
+        executed = []
+
+        def progress(done, total, row):
+            executed.append(row["size"])
+
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:1: skipping"):
+            rows = run_sweep_spec(spec, progress=progress)
+        assert executed == [12]
         assert len(rows) == 1 and rows[0]["size"] == 12
-        reloaded = ResultSet(path)
-        assert len(reloaded) == 1  # superseded, not duplicated
-        assert reloaded.rows()[0]["size"] == 12
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:1: skipping"):
+            reloaded = ResultSet(path)
+        assert [r["size"] for r in reloaded.rows()] == [12]
 
-    def test_pre_size_records_are_rerun_not_reused_and_never_evicted_live(self, tmp_path):
-        # The ambiguous case: a legacy n=9 grid record could be the size-9
-        # OR the size-12 cell.  It must not be reused for either (it is
-        # re-run, like pre-digest records), and the store must end up with
-        # exactly one row per requested size — whichever fresh record
-        # lands first recycles the stale slot, the other appends.
-        from repro.sim.experiments import get_scenario, scenario_digest
-
+    def test_pre_size_records_are_rerun_at_every_requested_size(self, tmp_path):
+        # The ambiguous case: the n=9 grid row could be the size-9 OR the
+        # size-12 cell.  It answers neither: both cells run, and the store
+        # ends up with exactly one row per requested size.
         path = tmp_path / "runs.jsonl"
-        digest = scenario_digest(get_scenario("bfs/grid"))
-        legacy = {"scenario": "bfs/grid", "family": "grid", "algorithm": "bfs",
-                  "n": 9, "m": 12, "seed": 0, "params_digest": digest,
-                  "rounds": 5, "messages": 48, "lost_messages": 0,
-                  "congestion": 1, "energy": 2}
-        path.write_text(json.dumps(legacy) + "\n")
+        path.write_text(json.dumps(pre_size_grid_record()) + "\n")
         spec = SweepSpec(scenarios=("bfs/grid",), sizes=(9, 12), seeds=(0,),
                          output=str(path))
         executed = []
-        rows = run_sweep_spec(spec, progress=lambda d, t, r: executed.append(r["size"]))
-        assert executed == [9, 12]  # neither cell trusted the legacy record
+
+        def progress(done, total, row):
+            executed.append(row["size"])
+
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:1: skipping"):
+            rows = run_sweep_spec(spec, progress=progress)
+        assert executed == [9, 12]
         assert [r["size"] for r in rows] == [9, 12]
-        reloaded = ResultSet(path)
-        assert sorted(r["size"] for r in reloaded.rows()) == [9, 12]
-        assert all("size" in r for r in reloaded.rows())
+        with pytest.warns(RuntimeWarning, match="runs.jsonl:1: skipping"):
+            reloaded = ResultSet(path)
+        assert [r["size"] for r in reloaded.rows()] == [9, 12]
 
     def test_a_sized_record_never_masquerades_as_its_built_size_cell(self, tmp_path):
         # grid sizes 9 and 12 both build 9-node instances: two DISTINCT
-        # cells with identical measurements.  The legacy-supersede path
-        # must only absorb records that LACK a size field.
+        # cells with identical measurements, addressed by requested size.
         store = ResultSet.open(tmp_path / "runs.jsonl")
         store.append({"scenario": "g", "n": 9, "seed": 0, "size": 9,
                       "params_digest": "d", "rounds": 3})
@@ -266,32 +329,3 @@ class TestProgressCallback:
         seen.clear()
         run_sweep_spec(spec, progress=lambda done, total, row: seen.append((done, total)))
         assert seen == [(3, 4), (4, 4)]
-
-
-class TestLegacyShim:
-    def test_run_sweep_is_deprecated_but_identical(self):
-        spec_rows = run_sweep_spec(SPEC)
-        with pytest.deprecated_call():
-            legacy = run_sweep(list(SCENARIOS), sizes=(9, 16), seeds=(0, 1))
-        assert legacy == spec_rows
-
-    def test_shim_preserves_empty_cross_product_contract(self):
-        # The pre-spec run_sweep returned [] for an empty cross product;
-        # the shim must not surface SweepSpec's stricter validation.
-        with pytest.deprecated_call():
-            assert run_sweep([], sizes=(8,)) == []
-        with pytest.deprecated_call():
-            assert run_sweep(["bfs/grid"], sizes=()) == []
-        with pytest.deprecated_call():
-            assert run_sweep(["bfs/grid"], sizes=(8,), seeds=()) == []
-        with pytest.deprecated_call():
-            assert run_sweep(iter(["bfs/grid"]), sizes=(9,)) != []  # generators work
-
-    @pytest.mark.parametrize("workers", [None, 3])
-    def test_shim_worker_counts_match_spec_path(self, workers):
-        with pytest.deprecated_call():
-            legacy = run_sweep(list(SCENARIOS), sizes=(9, 16), seeds=(0, 1),
-                               workers=workers)
-        spec = SweepSpec(scenarios=SCENARIOS, sizes=(9, 16), seeds=(0, 1),
-                         workers=workers or 1)
-        assert legacy == run_sweep_spec(spec)

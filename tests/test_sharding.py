@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.api import (
+    AlgorithmSpec,
     ResultSet,
     SpecError,
     SweepSpec,
@@ -29,6 +30,7 @@ from repro.api import (
     find_shard_stores,
     is_failure,
     merge_shards,
+    register_algorithm_spec,
     run_sweep_spec,
     shard_store_path,
     shard_store_paths,
@@ -37,7 +39,6 @@ from repro.api.shard import partition_cells, shard_cells
 from repro.sim.experiments import (
     Scenario,
     SweepError,
-    register_algorithm,
     register_scenario,
 )
 
@@ -88,7 +89,7 @@ def registry():
 
 def register_fault(scenario_name: str, driver, params: tuple = ()) -> Scenario:
     algo = scenario_name.split("/")[0]
-    register_algorithm(algo, driver)
+    register_algorithm_spec(AlgorithmSpec(algo, entry_point="", driver=driver))
     return register_scenario(Scenario(scenario_name, "path", algo, params=params))
 
 

@@ -17,11 +17,17 @@ import time
 
 import pytest
 
-from repro.api import SweepSpec, is_failure, run_sweep_spec
+from repro.api import (
+    AlgorithmSpec,
+    SweepSpec,
+    is_failure,
+    register_algorithm_spec,
+    run_sweep_spec,
+)
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.indexed import IndexedGraph
 from repro.sim import experiments, shm
-from repro.sim.experiments import Scenario, register_algorithm, register_scenario
+from repro.sim.experiments import Scenario, register_scenario
 
 
 def _crash(graph, seed, metrics):
@@ -52,7 +58,7 @@ def registry():
 
 def register_fault(scenario_name: str, driver) -> Scenario:
     algo = scenario_name.split("/")[0]
-    register_algorithm(algo, driver)
+    register_algorithm_spec(AlgorithmSpec(algo, entry_point="", driver=driver))
     return register_scenario(Scenario(scenario_name, "path", algo))
 
 
