@@ -7,7 +7,11 @@ only randomness in the whole APSP algorithm is the delays.
 
 Reproduction strategy (DESIGN.md, decision 3): every SSSP instance is
 executed once on the simulator, recording its per-(edge, round) message
-trace.  The scheduler then draws one uniform random start delay per
+trace in a plain :class:`~repro.sim.Metrics`'s opt-in ``send_trace``, so
+the engine's fast path and batch kernels stay on.  The ``n`` instances
+share one construction memo: each distinct Boruvka forest is simulated
+once per call and charged, trace included, to every instance that asks
+for it.  The scheduler then draws one uniform random start delay per
 instance from a window ``[0, n)`` and superimposes the traces.  The run is
 *schedulable* if no (edge, direction, round) slot exceeds the per-round
 capacity ``c`` (the CONGEST bandwidth left for each instance-bundle; the
@@ -27,8 +31,8 @@ from dataclasses import dataclass, field
 
 from ..graphs import Graph
 from ..sim import Metrics
-from .cssp import DEFAULT_EPS
-from .sssp import SSSPResult, sssp
+from .cssp import DEFAULT_EPS, cssp
+from .sssp import SSSPResult
 
 __all__ = ["APSPResult", "apsp", "schedule_with_random_delays", "ScheduleReport"]
 
@@ -91,31 +95,6 @@ def schedule_with_random_delays(
     )
 
 
-class _TracingMetrics(Metrics):
-    """Metrics that additionally record when each edge message was sent.
-
-    The per-round position is approximated by the current accumulated round
-    clock at send time: phases compose sequentially, so the clock at the
-    moment a phase runs is exactly the round at which its messages travel.
-
-    Being a :class:`Metrics` *subclass* also disables batch kernels for
-    every phase run under it (see :func:`repro.sim.kernels.kernel_for`):
-    the per-send hook below observes individual sends, which the batch
-    path folds away — so APSP's traced relaxations always take the
-    scalar path, by the same gate that keeps the trace exact.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.trace: Counter = Counter()
-        self.current_round = 0
-
-    def record_send(self, src: object, dst: object, delivered: bool) -> None:
-        super().record_send(src, dst, delivered)
-        # Absolute send round = rounds of completed phases + in-phase round.
-        self.trace[((src, dst), self.rounds + self.current_round)] += 1
-
-
 def apsp(
     graph: Graph,
     *,
@@ -135,11 +114,13 @@ def apsp(
     per_source: dict = {}
     traces: dict = {}
     durations: dict = {}
+    memo: dict = {}
     for s in nodes:
-        tracing = _TracingMetrics()
-        distances, metrics = _traced_sssp(graph, s, eps, tracing)
+        metrics = Metrics()
+        metrics.send_trace = Counter()
+        distances, _ = cssp(graph, {s: 0}, eps=eps, metrics=metrics, memo=memo)
         per_source[s] = SSSPResult(source=s, distances=distances, metrics=metrics)
-        traces[s] = tracing.trace
+        traces[s] = metrics.send_trace
         durations[s] = metrics.rounds
 
     n = max(2, graph.num_nodes)
@@ -153,8 +134,3 @@ def apsp(
     }
     return APSPResult(distances=distances, per_source=per_source, schedule=schedule)
 
-
-def _traced_sssp(graph: Graph, source: object, eps: float, tracing: Metrics):
-    from .cssp import cssp
-
-    return cssp(graph, {source: 0}, eps=eps, metrics=tracing)

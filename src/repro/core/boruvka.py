@@ -46,6 +46,7 @@ import math
 from ..graphs import Graph
 from ..sim import Context, Metrics, Mode, NodeAlgorithm, SimulationError, make_runner
 from ..sim.kernels import WAKE_HALT, BatchKernel
+from ..sim.memo import memoized
 from .trees import RootedForest
 
 __all__ = ["BoruvkaNode", "build_maximal_forest", "boruvka_phase_count", "boruvka_round_bound"]
@@ -292,11 +293,6 @@ class BoruvkaNode(NodeAlgorithm):
             self.children.add(sender)
             self._kids_cache = None
 
-    # Non-core endpoint: after sending a join at 4*seg we must learn by
-    # 4*seg + 1 whether the partner fragment chose the same edge (its join
-    # would arrive then); if not, we hang under it.  Handled in on_round via
-    # the message wake plus the explicit boundary below.
-
     @classmethod
     def batch_kernel(cls, runner) -> "_BoruvkaKernel | None":
         algorithms = runner._algorithms_by_index
@@ -304,10 +300,6 @@ class BoruvkaNode(NodeAlgorithm):
         if any(alg.n != n for alg in algorithms):
             return None  # mixed schedules: no globally agreed offsets
         return _BoruvkaKernel(runner, algorithms)
-
-
-class _JoinFollowUp:
-    """Marker documenting the 4*seg+1 follow-up; logic lives in BoruvkaNode."""
 
 
 class _BoruvkaKernel(BatchKernel):
@@ -575,16 +567,32 @@ class _BoruvkaKernel(BatchKernel):
         return None
 
 
-def build_maximal_forest(graph: Graph, *, metrics: Metrics | None = None) -> RootedForest:
+def build_maximal_forest(
+    graph: Graph, *, metrics: Metrics | None = None, memo: dict | None = None
+) -> RootedForest:
     """Run distributed Boruvka over ``graph`` and return the rooted forest.
 
     The returned forest is validated structurally (parent pointers acyclic);
     ``RootedForest.validate_against`` offers the full spanning check for
     tests.  Costs accrue into ``metrics``.
+
+    ``memo`` is a caller-owned dict that shares forests between calls
+    (see :func:`repro.sim.memo.memoized`): the protocol is a pure function
+    of the graph's CSR snapshot, so an input seen before returns the
+    stored forest and charges its metered cost again.  Callers must not
+    mutate the returned forest.
     """
-    n = graph.num_nodes
-    if n == 0:
+    metrics = metrics if metrics is not None else Metrics()
+    if graph.num_nodes == 0:
         return RootedForest({})
+    return memoized(
+        memo, metrics, graph, ("boruvka-forest",),
+        lambda cost: _construct_forest(graph, cost),
+    )
+
+
+def _construct_forest(graph: Graph, metrics: Metrics) -> RootedForest:
+    n = graph.num_nodes
     algorithms = {u: BoruvkaNode(u, n) for u in graph.nodes()}
     runner = make_runner(graph, algorithms, Mode.CONGEST, metrics=metrics)
     runner.run()

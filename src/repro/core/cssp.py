@@ -63,6 +63,7 @@ def cssp(
     *,
     eps: float = DEFAULT_EPS,
     metrics: Metrics | None = None,
+    memo: dict | None = None,
 ) -> tuple[dict, Metrics]:
     """Exact closest-source distances ``dist(S, v)`` for every node.
 
@@ -71,9 +72,16 @@ def cssp(
     arbitrary "virtual source" use cases).  Nonnegative integer weights;
     zero-weight edges are handled by contraction (Theorem 2.7).
 
+    The recursion builds the Boruvka forest of the same graph again
+    whenever ``V1`` keeps every node, so its forests go through a
+    construction memo (:func:`repro.sim.memo.memoized`).  Each call makes
+    its own unless the caller passes ``memo`` to share one; either way the
+    charged cost is that of building every forest.
+
     Returns ``(distances, metrics)``; unreachable nodes map to ``INFINITY``.
     """
     metrics = metrics if metrics is not None else Metrics()
+    memo = memo if memo is not None else {}
     source_offsets = dict(sources) if isinstance(sources, dict) else {s: 0 for s in sources}
     for s in source_offsets:
         if s not in graph:
@@ -84,7 +92,7 @@ def cssp(
         return {u: INFINITY for u in graph.nodes()}, metrics
 
     if graph.num_edges and graph.min_weight() == 0:
-        distances = _cssp_with_zero_weights(graph, source_offsets, eps, metrics)
+        distances = _cssp_with_zero_weights(graph, source_offsets, eps, metrics, memo)
         return distances, metrics
 
     bound = distance_upper_bound(graph)
@@ -92,7 +100,7 @@ def cssp(
     while bound < extra + graph.weighted_diameter_upper_bound():
         bound *= 2
     distances = _thresholded_recursive(
-        graph, source_offsets, bound, eps=eps, metrics=metrics
+        graph, source_offsets, bound, eps=eps, metrics=metrics, memo=memo
     )
     return distances, metrics
 
@@ -119,7 +127,9 @@ def thresholded_cssp(
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     pow2 = 1 << max(0, math.ceil(math.log2(max(1, threshold))))
-    raw = _thresholded_recursive(graph, sources, pow2, eps=eps, metrics=metrics)
+    raw = _thresholded_recursive(
+        graph, sources, pow2, eps=eps, metrics=metrics, memo={}
+    )
     return {
         u: (d if d != INFINITY and d <= threshold else INFINITY) for u, d in raw.items()
     }
@@ -132,6 +142,7 @@ def _thresholded_recursive(
     *,
     eps: float,
     metrics: Metrics,
+    memo: dict,
     cutter=None,
 ) -> dict:
     """The Section 2.3 recursion proper; ``threshold`` is a power of two.
@@ -139,7 +150,8 @@ def _thresholded_recursive(
     ``cutter`` is the approximate-cutter strategy with the signature of
     :func:`repro.core.cutter.approx_cssp`; the energy-model CSSP (Theorem
     3.15) injects its sleeping-model cutter here and reuses the entire
-    recursion unchanged.
+    recursion unchanged.  ``memo`` is the forest memo of
+    :func:`repro.core.boruvka.build_maximal_forest`.
     """
     if cutter is None:
         cutter = approx_cssp
@@ -158,7 +170,7 @@ def _thresholded_recursive(
     half = threshold // 2
 
     # Step 2: per-component rooted spanning trees (coordination skeleton).
-    forest = build_maximal_forest(graph, metrics=metrics)
+    forest = build_maximal_forest(graph, metrics=metrics, memo=memo)
 
     # Step 3: approximate cutter with eps and W = threshold.
     approx = cutter(graph, sources, eps, threshold, metrics=metrics)
@@ -171,7 +183,7 @@ def _thresholded_recursive(
     sub1 = graph if len(v1) == graph.num_nodes else graph.induced_subgraph(v1)
     sources1 = {s: off for s, off in sources.items() if s in v1}
     dist1 = _thresholded_recursive(
-        sub1, sources1, half, eps=eps, metrics=metrics, cutter=cutter
+        sub1, sources1, half, eps=eps, metrics=metrics, memo=memo, cutter=cutter
     )
 
     # Per-component "everyone done?" convergecast + start-round broadcast.
@@ -209,7 +221,7 @@ def _thresholded_recursive(
     rest = v1 - v2
     sub2 = graph if len(rest) == graph.num_nodes else graph.induced_subgraph(rest)
     dist2 = _thresholded_recursive(
-        sub2, cut_sources, half, eps=eps, metrics=metrics, cutter=cutter
+        sub2, cut_sources, half, eps=eps, metrics=metrics, memo=memo, cutter=cutter
     )
 
     result: dict = {}
@@ -224,7 +236,7 @@ def _thresholded_recursive(
 
 
 def _cssp_with_zero_weights(
-    graph: Graph, sources: dict, eps: float, metrics: Metrics
+    graph: Graph, sources: dict, eps: float, metrics: Metrics, memo: dict
 ) -> dict:
     """Theorem 2.7: contract zero-weight components, solve, broadcast back.
 
@@ -234,7 +246,7 @@ def _cssp_with_zero_weights(
     """
     zero_edges = [(u, v) for u, v, w in graph.edges() if w == 0]
     zero_graph = Graph.from_edges(zero_edges, nodes=graph.nodes())
-    zero_forest = build_maximal_forest(zero_graph, metrics=metrics)
+    zero_forest = build_maximal_forest(zero_graph, metrics=metrics, memo=memo)
     leader = zero_forest.root_of
 
     quotient = Graph()
@@ -255,7 +267,7 @@ def _cssp_with_zero_weights(
     while bound < extra + quotient.weighted_diameter_upper_bound():
         bound *= 2
     quotient_dist = _thresholded_recursive(
-        quotient, quotient_sources, bound, eps=eps, metrics=metrics
+        quotient, quotient_sources, bound, eps=eps, metrics=metrics, memo=memo
     )
 
     # Broadcast each leader's distance back through its zero-weight tree.

@@ -80,7 +80,7 @@ def energy_approx_cssp(
     Identical rounding arithmetic to :func:`repro.core.cutter.approx_cssp`;
     the rounded thresholded BFS goes through a freshly built layered cover
     and Theorem 3.8.  This is the Section 3.7 substitution.  ``memo`` is
-    the sparse-cover memo of :func:`repro.energy.covers.build_sparse_cover`.
+    the construction memo of :func:`repro.energy.covers.build_sparse_cover`.
     """
     metrics = metrics if metrics is not None else Metrics()
     if not sources:
@@ -116,9 +116,9 @@ def energy_cssp(
 
     The recursion hands the cutter the same graph again and again (``V1``
     keeps every node; quantum-1 rounding copies its input), so one
-    sparse-cover memo serves every cutter call of this run.  It dies with
-    the call: each run still pays for its own constructions, and the
-    charged cost is unchanged.
+    construction memo serves every sparse cover and every Boruvka forest
+    of this run.  It dies with the call: each run still pays for its own
+    constructions, and the charged cost is unchanged.
     """
     metrics = metrics if metrics is not None else Metrics()
     source_offsets = dict(sources) if isinstance(sources, dict) else {s: 0 for s in sources}
@@ -143,6 +143,7 @@ def energy_cssp(
     while bound < extra + graph.weighted_diameter_upper_bound():
         bound *= 2
     distances = _thresholded_recursive(
-        graph, source_offsets, bound, eps=eps, metrics=metrics, cutter=cutter
+        graph, source_offsets, bound, eps=eps, metrics=metrics, memo=memo,
+        cutter=cutter,
     )
     return distances, metrics

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graphs import Graph, IndexedGraph, INFINITY
+from ..graphs import Graph, INFINITY
 from ..sim import Metrics
+from ..sim.memo import memoized
 from .decomposition import Cluster, build_decomposition
 from .labeled_bfs import run_labeled_bfs
 
@@ -131,40 +132,17 @@ def build_sparse_cover(
     experiments pass explicit values to study the tradeoff (E13).
 
     ``memo`` is a caller-owned dict that shares constructions between
-    calls.  The construction is a pure function of the graph's node order,
-    its CSR columns in port order, ``d`` and ``stretch``, so an input seen
-    before returns the stored cover and charges its metered cost again
-    through :meth:`Metrics.merge`.  Only plain :class:`Metrics` take the
-    memo: subclasses see every event through their hooks, which a replay
-    cannot reproduce.
+    calls (see :func:`repro.sim.memo.memoized`): an input seen before
+    returns the stored cover and charges its metered cost again.
     """
     import math
 
     metrics = metrics if metrics is not None else Metrics()
     if stretch is None:
         stretch = 2 * max(1, math.ceil(math.log2(max(2, graph.num_nodes))))
-    if memo is None or type(metrics) is not Metrics:
-        return _construct_sparse_cover(graph, d, stretch, metrics)
-    key = _cover_key(graph, d, stretch)
-    entry = memo.get(key)
-    if entry is None:
-        cost = Metrics()
-        entry = memo[key] = (_construct_sparse_cover(graph, d, stretch, cost), cost)
-    cover, cost = entry
-    metrics.merge(cost, sequential=True)
-    return cover
-
-
-def _cover_key(graph: Graph, d: int, stretch: int) -> tuple:
-    """Everything :func:`_construct_sparse_cover` reads from its input.
-
-    Node and port order decide step and message order, so the key is the
-    CSR snapshot itself, not the edge set.
-    """
-    view = IndexedGraph.of(graph)
-    return (
-        tuple(view.labels), tuple(view.indptr), tuple(view.nbr), tuple(view.wt),
-        d, stretch,
+    return memoized(
+        memo, metrics, graph, ("sparse-cover", d, stretch),
+        lambda cost: _construct_sparse_cover(graph, d, stretch, cost),
     )
 
 

@@ -167,8 +167,10 @@ def kernel_for(runner) -> BatchKernel | None:
     Centralizes every dispatch gate so both engines agree:
 
     * the active backend enables kernels (``scalar`` disables them);
-    * plain :class:`Metrics` only — tracing subclasses take per-event
-      hooks the batch path does not emit;
+    * plain :class:`Metrics` only — subclasses take per-event hooks the
+      batch path does not emit.  A plain accumulator's opt-in
+      ``send_trace`` does not gate: the engine folds it from the outbox
+      columns every kernel round fills;
     * no fault plane (fault draws happen per delivered message; see
       :attr:`repro.sim.faults.FaultModel.batch_safe`);
     * ``edge_capacity == 1`` (kernels skip per-port capacity counters);

@@ -45,9 +45,14 @@ class Metrics:
         self.messages_duplicated: int = 0
         self.nodes_crashed: int = 0
         self.recoveries: int = 0
-        # In-phase round of the currently executing runner; set by Runner so
-        # subclasses can timestamp individual sends (see repro.core.apsp).
+        # In-phase round of the currently executing runner; set by the
+        # per-event engine path so record_send can timestamp a send.
         self.current_round: int = 0
+        #: Opt-in send trace: ``None``, or a Counter over the sends that
+        #: ``edge_messages`` counts, keyed ``((src, dst), round)``.  The
+        #: round is absolute: rounds before the run plus the in-run round.
+        #: Never serialized; see DESIGN.md.
+        self.send_trace: Counter | None = None
 
     # ------------------------------------------------------------------
     # recording (called by the runner)
@@ -58,6 +63,8 @@ class Metrics:
         self.edge_messages[(src, dst)] += 1
         if not delivered:
             self.lost_messages += 1
+        if self.send_trace is not None:
+            self.send_trace[((src, dst), self.rounds + self.current_round)] += 1
 
     def record_awake(self, node: object, rounds: int = 1) -> None:
         """Credit ``rounds`` awake rounds to ``node``."""
@@ -83,6 +90,8 @@ class Metrics:
         self.total_messages += 1
         self.edge_messages[(src, dst)] += 1
         self.messages_dropped += 1
+        if self.send_trace is not None:
+            self.send_trace[((src, dst), self.rounds + self.current_round)] += 1
 
     def record_duplicated(self, src: object, dst: object) -> None:
         """One fault-injected duplicate delivery on ``src -> dst``.
@@ -143,7 +152,16 @@ class Metrics:
         connected components) takes the max of round counts.  Messages,
         congestion, energy and participation always add — they are totals
         regardless of scheduling.
+
+        A send trace on both sides folds too: ``other``'s rounds are
+        shifted by this accumulator's clock when the phases run
+        back-to-back, and by nothing when they run concurrently.
         """
+        trace = self.send_trace
+        if trace is not None and other.send_trace:
+            shift = self.rounds if sequential else 0
+            for (edge, t), count in other.send_trace.items():
+                trace[(edge, t + shift)] += count
         if sequential:
             self.rounds += other.rounds
         else:
@@ -160,6 +178,8 @@ class Metrics:
 
     def copy(self) -> "Metrics":
         out = Metrics()
+        if self.send_trace is not None:
+            out.send_trace = Counter()
         out.merge(self)
         return out
 
@@ -179,7 +199,7 @@ class Metrics:
         Fault meters are emitted under a ``"faults"`` sub-dict **only
         when any of them is nonzero**: a fault-free run serializes to the
         exact pre-fault byte layout, so existing stores and differential
-        baselines are untouched.
+        baselines are untouched.  The send trace is left out.
         """
         out = {
             "rounds": self.rounds,

@@ -6,7 +6,8 @@ verbatim: dict mailboxes, a heap-plus-set wake schedule, per-message
 order.  It is deliberately *not* optimized — its whole job is to define the
 model semantics so that differential tests can assert the fast indexed
 engine produces identical metrics (rounds, messages, lost messages, energy,
-congestion) on the same protocols.
+congestion, and the opt-in send trace, stamped here one ``record_send``
+call at a time) on the same protocols.
 
 Use it only in tests and debugging; everything else should go through
 :class:`repro.sim.Runner`.

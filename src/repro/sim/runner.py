@@ -67,8 +67,9 @@ execution as delivering at ``r + 1``.  Under any other model the message
 is parked in a per-arrival-time slot (parallel port and payload lists)
 and moved into the inbox at its arrival time, before that time's wakes
 run.  Plain :class:`Metrics` are metered in bulk through deferred folds
-under every latency model and fault plane; metric subclasses get one
-``record_*`` hook call per event instead.
+under every latency model and fault plane, an opt-in send trace
+included; metric subclasses get one ``record_*`` hook call per event
+instead.
 
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
@@ -135,6 +136,13 @@ def _fold_bcasts(edge_messages: Counter, bcast_log: list, labels: list,
         sender = labels[src_i]
         for port_id in range(indptr[src_i], indptr[src_i + 1]):
             edge_messages[(sender, labels[nbr[port_id]])] += count
+
+
+def _fold_trace(send_trace: Counter, run_trace: Counter, base: int,
+                port_src: list, labels: list, nbr: list) -> None:
+    for (port_id, r), count in run_trace.items():
+        send_trace[((port_src[port_id], labels[nbr[port_id]]), base + r)] += count
+
 
 #: ``next_wake`` marker for "no live wake scheduled".
 _NONE = -1
@@ -533,6 +541,10 @@ class Runner:
         # (TracingMetrics etc.) override the record_* hooks and get the
         # per-event calls — same accumulated state either way.
         fast = type(metrics) is Metrics
+        # The fast path keeps an opt-in send trace as (port, round) counts
+        # and folds them into labeled, absolute-round keys like the logs.
+        trace = metrics.send_trace if fast else None
+        run_trace: Counter = Counter()
         plane = self.faults
         # Batch-kernel dispatch: when every gate passes (numpy backend,
         # plain Metrics, no fault plane, capacity 1, homogeneous roster
@@ -839,6 +851,12 @@ class Runner:
                     metrics.total_messages += sent
                     port_log.extend(out_ports)
                     bcast_log.extend(bcast_src)
+                    if trace is not None:
+                        run_trace.update(zip(out_ports, repeat(r)))
+                        for src_i in bcast_src:
+                            run_trace.update(
+                                zip(range(indptr[src_i], indptr[src_i + 1]), repeat(r))
+                            )
                 nxt_bucket = buckets.get(nxt_round)
                 if plane is not None:
                     occ.clear()
@@ -861,6 +879,9 @@ class Runner:
                 if len(bcast_log) >= _LOG_FOLD:
                     _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
                     bcast_log.clear()
+                if len(run_trace) >= _LOG_FOLD:
+                    _fold_trace(trace, run_trace, metrics.rounds, port_src, labels, nbr)
+                    run_trace.clear()
                 if message_budget is not None:
                     # Budgets bound work; they do not tear messages, so the
                     # round's batch resolves whole before the stop.
@@ -898,6 +919,10 @@ class Runner:
                 _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
             if bcast_log:
                 _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+            if run_trace:
+                # Before record_rounds below: metrics.rounds is still the
+                # clock this run started at.
+                _fold_trace(trace, run_trace, metrics.rounds, port_src, labels, nbr)
         final_time = (last_round + 1) * self.round_width
         metrics.record_rounds(final_time)
         if indexed._engine_pool is None:

@@ -28,17 +28,16 @@ class TracingMetrics(Metrics):
         self.messages_by_round: Counter = Counter()
         #: round -> number of awake nodes.
         self.awake_by_round: Counter = Counter()
-        #: (edge, round) -> messages, for per-edge congestion timelines.
-        self.edge_timeline: Counter = Counter()
+        #: (edge, round) -> messages, for per-edge congestion timelines:
+        #: the base class stamps each send into it.
+        self.send_trace = Counter()
 
     def _now(self) -> int:
         return self.rounds + self.current_round
 
     def record_send(self, src: object, dst: object, delivered: bool) -> None:
         super().record_send(src, dst, delivered)
-        now = self._now()
-        self.messages_by_round[now] += 1
-        self.edge_timeline[((src, dst), now)] += 1
+        self.messages_by_round[self._now()] += 1
 
     def record_awake(self, node: object, rounds: int = 1) -> None:
         super().record_awake(node, rounds)
@@ -79,7 +78,7 @@ class TracingMetrics(Metrics):
     def edge_profile(self, u: object, v: object) -> dict[int, int]:
         """Round -> messages for the undirected edge ``{u, v}``."""
         out: dict[int, int] = {}
-        for (edge, r), count in self.edge_timeline.items():
+        for (edge, r), count in self.send_trace.items():
             if edge in ((u, v), (v, u)):
                 out[r] = out.get(r, 0) + count
         return out

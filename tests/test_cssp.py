@@ -1,16 +1,24 @@
 """The recursive CSSP (Section 2.3): exactness, thresholds, zero weights,
 participation bounds, and complexity profiles."""
 
+import importlib
+import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.testing import assert_distances_equal, oracle_distances, small_weighted_graph
 from repro import graphs
+from repro.core import apsp, boruvka, build_maximal_forest
 from repro.core.cssp import cssp, distance_upper_bound, thresholded_cssp
 from repro.graphs import Graph, INFINITY
-from repro.sim import Metrics
+from repro.sim import Metrics, TracingMetrics, memo as construction_memo
+from repro.sim.events import simulation_engine
+
+# The package re-exports the cssp function under the module's name.
+cssp_module = importlib.import_module("repro.core.cssp")
 
 
 class TestCSSPExactness:
@@ -220,3 +228,172 @@ def test_property_cssp_zero_weights(n, seed):
     )
     d, _ = cssp(g, {0: 0})
     assert d == g.dijkstra([0])
+
+
+# ---------------------------------------------------------------------------
+# Forest memo: one Boruvka construction per distinct input per call
+# ---------------------------------------------------------------------------
+
+# name -> (graph builder, sources).
+FOREST_CASES = {
+    "er-seed0": (lambda: graphs.make_family("er", 24, max_weight=6, seed=0), {0: 0}),
+    "er-seed1": (lambda: graphs.make_family("er", 24, max_weight=6, seed=1), {7: 0}),
+    "grid": (lambda: graphs.random_weights(graphs.grid_graph(4, 5), 3, seed=2), {0: 0}),
+    "path": (lambda: graphs.random_weights(graphs.path_graph(16), 4, seed=11), {0: 0}),
+    "offsets": (
+        lambda: graphs.random_weights(graphs.random_connected_graph(14, seed=5), 4, seed=6),
+        {0: 3, 9: 0, 5: 1},
+    ),
+    "disconnected": (
+        lambda: Graph.from_edges([(0, 1, 2), (1, 2, 3), (2, 0, 1), (3, 4, 1), (4, 5, 2)]),
+        {0: 0},
+    ),
+    "zero-weights": (
+        lambda: Graph.from_edges(
+            [(0, 1, 0), (1, 2, 3), (2, 3, 0), (3, 4, 2), (4, 0, 1), (2, 5, 1), (5, 6, 0)]
+        ),
+        {0: 0},
+    ),
+}
+
+
+def _traced_metrics() -> Metrics:
+    metrics = Metrics()
+    metrics.send_trace = Counter()
+    return metrics
+
+
+def _serialized(distances, metrics) -> tuple:
+    trace = None if metrics.send_trace is None else sorted(metrics.send_trace.items())
+    return (
+        json.dumps(sorted(distances.items())),
+        json.dumps(metrics.to_dict()),
+        trace,
+    )
+
+
+def _always_miss(monkeypatch):
+    """Make every memo lookup miss: each key is a fresh object."""
+    monkeypatch.setattr(construction_memo, "construction_key", lambda *_args: object())
+
+
+def _count_forests(monkeypatch) -> tuple[list, list]:
+    """Count forest requests from the recursion and real constructions."""
+    requests, builds = [], []
+    real_request = cssp_module.build_maximal_forest
+    real_build = boruvka._construct_forest
+
+    def requested(graph, **kwargs):
+        requests.append(graph)
+        return real_request(graph, **kwargs)
+
+    def built(graph, metrics):
+        builds.append(graph)
+        return real_build(graph, metrics)
+
+    monkeypatch.setattr(cssp_module, "build_maximal_forest", requested)
+    monkeypatch.setattr(boruvka, "_construct_forest", built)
+    return requests, builds
+
+
+class TestForestMemo:
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("name", sorted(FOREST_CASES))
+    def test_memo_matches_fresh_constructions(self, name, trace, monkeypatch):
+        build, sources = FOREST_CASES[name]
+        make_metrics = _traced_metrics if trace else Metrics
+        memo_run = _serialized(*cssp(build(), sources, metrics=make_metrics()))
+        with monkeypatch.context() as patch:
+            _always_miss(patch)
+            fresh_run = _serialized(*cssp(build(), sources, metrics=make_metrics()))
+        assert memo_run == fresh_run
+
+    def test_apsp_memo_matches_fresh_constructions(self, monkeypatch):
+        graph = graphs.make_family("er", 12, max_weight=5, seed=4)
+        requests, builds = _count_forests(monkeypatch)
+        shared = apsp(graph, seed=1)
+        assert len(builds) < len(requests)  # the sources share forests
+        with monkeypatch.context() as patch:
+            _always_miss(patch)
+            fresh = apsp(graph, seed=1)
+        assert shared.schedule == fresh.schedule
+        assert shared.distances == fresh.distances
+        for source, run in shared.per_source.items():
+            other = fresh.per_source[source].metrics
+            assert json.dumps(run.metrics.to_dict()) == json.dumps(other.to_dict())
+            assert run.metrics.send_trace == other.send_trace
+
+    def test_hit_returns_stored_forest_and_replays_its_cost(self, monkeypatch):
+        _requests, builds = _count_forests(monkeypatch)
+        memo: dict = {}
+        make = lambda: graphs.random_weights(graphs.grid_graph(3, 4), 3, seed=1)
+        first = _traced_metrics()
+        forest = build_maximal_forest(make(), metrics=first, memo=memo)
+        second = _traced_metrics()
+        second.record_rounds(7)
+        again = build_maximal_forest(make(), metrics=second, memo=memo)
+        assert again is forest and len(builds) == 1 and len(memo) == 1
+        assert second.rounds == first.rounds + 7 and first.rounds > 0
+        # The replayed trace lands on the caller's clock.
+        assert second.send_trace == Counter(
+            {(edge, t + 7): count for (edge, t), count in first.send_trace.items()}
+        )
+
+    def test_untraced_cost_never_replays_into_a_traced_caller(self, monkeypatch):
+        _requests, builds = _count_forests(monkeypatch)
+        memo: dict = {}
+        graph = graphs.random_weights(graphs.grid_graph(3, 4), 3, seed=1)
+        build_maximal_forest(graph, metrics=Metrics(), memo=memo)
+        tracing = _traced_metrics()
+        build_maximal_forest(graph, metrics=tracing, memo=memo)
+        assert len(builds) == 2 and len(memo) == 2
+        assert sum(tracing.send_trace.values()) == tracing.total_messages > 0
+
+    def test_repeated_inputs_are_built_once(self, monkeypatch):
+        requests, builds = _count_forests(monkeypatch)
+        build, sources = FOREST_CASES["er-seed0"]
+        cssp(build(), sources, metrics=Metrics())
+        distinct = {construction_memo.construction_key(g) for g in requests}
+        assert len(builds) == len(distinct) < len(requests)
+
+    def test_tracing_metrics_always_build(self, monkeypatch):
+        requests, builds = _count_forests(monkeypatch)
+
+        def no_key(*_args):
+            raise AssertionError("a Metrics subclass reached the memo")
+
+        monkeypatch.setattr(construction_memo, "construction_key", no_key)
+        build, sources = FOREST_CASES["er-seed0"]
+        cssp(build(), sources, metrics=TracingMetrics())
+        assert len(builds) == len(requests) > 1
+
+    def test_event_engine_stopping_conditions_bypass_the_memo(self, monkeypatch):
+        def no_key(*_args):
+            raise AssertionError("a run with max_time reached the memo")
+
+        graph = graphs.make_family("er", 16, max_weight=5, seed=0)
+        outcomes = []
+        for patch_target in ("construction_key", "memoized"):
+            with monkeypatch.context() as patch:
+                if patch_target == "construction_key":
+                    patch.setattr(construction_memo, "construction_key", no_key)
+                else:  # the reference: every request builds, no memo at all
+                    patch.setattr(
+                        boruvka, "memoized",
+                        lambda memo, metrics, graph, params, construct: construct(metrics),
+                    )
+                with simulation_engine("event", max_time=40) as config:
+                    _distances, metrics = cssp(graph, [0], metrics=Metrics())
+            stats = config.stats
+            outcomes.append((stats.stop_reason, stats.virtual_time, metrics.to_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "max_time"
+
+    def test_fault_plane_bypasses_the_memo(self, monkeypatch):
+        _requests, builds = _count_forests(monkeypatch)
+        memo: dict = {}
+        graph = graphs.path_graph(5)
+        with simulation_engine("round", faults="crash:1@5000"):
+            build_maximal_forest(graph, metrics=Metrics(), memo=memo)
+            build_maximal_forest(graph, metrics=Metrics(), memo=memo)
+        assert len(builds) == 2 and not memo

@@ -18,7 +18,7 @@ from repro.energy import (
     low_energy_bfs_from_scratch,
 )
 from repro.graphs import Graph, INFINITY
-from repro.sim import Metrics
+from repro.sim import Metrics, memo as construction_memo
 
 
 class TestFromScratchBFS:
@@ -172,7 +172,7 @@ def _run_serialized(build, sources):
 
 def _always_miss(monkeypatch):
     """Make every memo lookup miss: each key is a fresh object."""
-    monkeypatch.setattr(covers, "_cover_key", lambda *_args: object())
+    monkeypatch.setattr(construction_memo, "construction_key", lambda *_args: object())
 
 
 def _count_decompositions(monkeypatch) -> list:
@@ -263,7 +263,7 @@ class TestCoverMemo:
             sends_per_construction.append(metrics.sends - before)
             return cover
 
-        monkeypatch.setattr(covers, "_cover_key", no_key)
+        monkeypatch.setattr(construction_memo, "construction_key", no_key)
         monkeypatch.setattr(covers, "_construct_sparse_cover", tracked)
         counting = CountingMetrics()
         energy_cssp(build(), sources, metrics=counting)
@@ -300,14 +300,15 @@ class TestCoverMemo:
         """
         builds = _count_decompositions(monkeypatch)
         keys = []
-        real_key = covers._cover_key
+        real_key = construction_memo.construction_key
 
-        def recorded(*args):
-            key = real_key(*args)
-            keys.append(key)
+        def recorded(graph, *params):
+            key = real_key(graph, *params)
+            if params[0] == "sparse-cover":
+                keys.append(key)
             return key
 
-        monkeypatch.setattr(covers, "_cover_key", recorded)
+        monkeypatch.setattr(construction_memo, "construction_key", recorded)
         graph = graphs.make_family("er", 16, max_weight=4, seed=0)
         drive_energy_cssp(graph, 0, Metrics())
         assert len(builds) == len(set(keys)) == 13

@@ -7,6 +7,12 @@ dict-of-objects implementation).  The two executions must agree on *every*
 metric: rounds, messages, lost messages, energy, congestion, and the full
 per-edge / per-node counters.
 
+Every execution runs twice per engine: on a plain accumulator from clock
+0, and on one that keeps a send trace with its clock started at 5.  The
+indexed Runner folds the trace from its outbox columns, the reference
+engine stamps it one ``record_send`` call at a time, and the two must agree
+send for send, the absolute-round offset included.
+
 The protocols are deliberately order-insensitive (they aggregate their
 inbox, never index into it), because the engines step awake nodes in
 different deterministic orders (node-index vs ``repr``-sorted) and the model
@@ -14,6 +20,7 @@ makes no promise about mailbox ordering.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -75,19 +82,45 @@ class SleepyBeacon(NodeAlgorithm):
         ctx.wake_at(ctx.round + 1 + self.rng.randrange(4))
 
 
+def traced_metrics(clock: int = 5) -> Metrics:
+    """A plain accumulator with a send trace, its clock already at ``clock``."""
+    metrics = Metrics()
+    metrics.send_trace = Counter()
+    metrics.record_rounds(clock)
+    return metrics
+
+
+#: Each execution's accumulators: the production (untraced) one, then a traced one.
+METRICS = (Metrics, traced_metrics)
+
+
 def both_metrics(graph, make_algorithms, mode, **kwargs):
-    runs = []
-    for engine in (Runner, ReferenceRunner):
-        metrics = Metrics()
-        engine(graph, make_algorithms(), mode, metrics=metrics, **kwargs).run()
-        runs.append(metrics)
-    return runs
+    """Runner's and ReferenceRunner's plain metrics of one execution.
+
+    The same execution also runs on a traced accumulator under each
+    engine, and that pair must agree too, send trace included.
+    """
+    pairs = []
+    for make_metrics in METRICS:
+        runs = []
+        for engine in (Runner, ReferenceRunner):
+            metrics = make_metrics()
+            engine(graph, make_algorithms(), mode, metrics=metrics, **kwargs).run()
+            runs.append(metrics)
+        pairs.append(runs)
+    plain, traced = pairs
+    assert_identical(*traced)
+    return plain
 
 
 def assert_identical(new: Metrics, ref: Metrics) -> None:
     assert new.summary() == ref.summary()
     assert new.edge_messages == ref.edge_messages
     assert new.awake_rounds == ref.awake_rounds
+    assert new.send_trace == ref.send_trace
+    if new.send_trace is not None:
+        assert sum(new.send_trace.values()) == new.total_messages
+        assert min((t for _edge, t in new.send_trace), default=5) >= 5  # the clock
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -261,15 +294,16 @@ def test_broadcast_equals_send_loop(seed, mode, edge_capacity):
     n = rng.randrange(5, 26)
     g = graphs.random_connected_graph(n, extra_edge_prob=0.2, seed=seed)
     extra = 1 if edge_capacity > 1 else 0
-    results = []
-    for make in (Chatter, LoopBroadcast):
-        algorithms = {u: make(u, seed, extra_sends=extra) for u in g.nodes()}
-        metrics = Metrics()
-        Runner(g, algorithms, mode, metrics=metrics, edge_capacity=edge_capacity).run()
-        results.append((metrics, {u: algorithms[u].heard for u in g.nodes()}))
-    (m_bcast, heard_bcast), (m_loop, heard_loop) = results
-    assert_identical(m_bcast, m_loop)
-    assert heard_bcast == heard_loop
+    for make_metrics in METRICS:
+        results = []
+        for make in (Chatter, LoopBroadcast):
+            algorithms = {u: make(u, seed, extra_sends=extra) for u in g.nodes()}
+            metrics = make_metrics()
+            Runner(g, algorithms, mode, metrics=metrics, edge_capacity=edge_capacity).run()
+            results.append((metrics, {u: algorithms[u].heard for u in g.nodes()}))
+        (m_bcast, heard_bcast), (m_loop, heard_loop) = results
+        assert_identical(m_bcast, m_loop)
+        assert heard_bcast == heard_loop
 
 
 def test_broadcast_capacity_breach_detected():
@@ -305,15 +339,16 @@ def test_real_algorithms_run_under_the_reference_oracle(seed):
             u, g.num_nodes * 7, source_offset=0 if u == source else None
         ),
     ):
-        results = []
-        for engine in (Runner, ReferenceRunner):
-            algorithms = {u: make(u) for u in g.nodes()}
-            metrics = Metrics()
-            engine(g, algorithms, Mode.CONGEST, metrics=metrics).run()
-            results.append((metrics, {u: algorithms[u].dist for u in g.nodes()}))
-        (m_new, d_new), (m_ref, d_ref) = results
-        assert d_new == d_ref == oracle
-        assert_identical(m_new, m_ref)
+        for make_metrics in METRICS:
+            results = []
+            for engine in (Runner, ReferenceRunner):
+                algorithms = {u: make(u) for u in g.nodes()}
+                metrics = make_metrics()
+                engine(g, algorithms, Mode.CONGEST, metrics=metrics).run()
+                results.append((metrics, {u: algorithms[u].dist for u in g.nodes()}))
+            (m_new, d_new), (m_ref, d_ref) = results
+            assert d_new == d_ref == oracle
+            assert_identical(m_new, m_ref)
 
 
 class CastOnce(NodeAlgorithm):
