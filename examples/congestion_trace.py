@@ -2,9 +2,9 @@
 """Congestion and awake-time profiles over an execution (TracingMetrics).
 
 Shows *when* the network is busy: the per-round message load of the
-paper's SSSP versus Bellman-Ford, and the awake-fraction timeline of the
-sleeping-model BFS (the visual form of "each node is awake only polylog
-rounds").
+paper's SSSP versus Bellman-Ford, the busiest (edge, round) slot of each
+send trace, and the awake-fraction timeline of the sleeping-model BFS
+(the visual form of "each node is awake only polylog rounds").
 
 Run:  python examples/congestion_trace.py
 """
@@ -41,12 +41,19 @@ def main() -> None:
         trace = TracingMetrics()
         run(trace)
         peak_round, peak_load = trace.peak_round_load()
+        # The send trace counts every message by (directed edge, round).
+        slots = trace.send_trace.counts()
+        assert sum(slots.values()) == trace.total_messages
+        (busiest_edge, _t), slot_load = max(slots.items(), key=lambda kv: kv[1])
+        u, v = busiest_edge
+        assert sum(trace.edge_profile(u, v).values()) == trace.congestion_of(u, v)
         rows.append([name, trace.rounds, trace.total_messages, peak_load,
-                     round(trace.total_messages / max(1, trace.rounds), 1)])
+                     round(trace.total_messages / max(1, trace.rounds), 1), slot_load])
     print()
     print(render_table(
         "per-round load: burstiness of each algorithm",
-        ["algorithm", "rounds", "messages", "peak round load", "avg msgs/round"],
+        ["algorithm", "rounds", "messages", "peak round load", "avg msgs/round",
+         "peak edge-round load"],
         rows,
     ))
 

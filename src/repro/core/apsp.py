@@ -8,11 +8,15 @@ only randomness in the whole APSP algorithm is the delays.
 Reproduction strategy (DESIGN.md, decision 3): every SSSP instance is
 executed once on the simulator, recording its per-(edge, round) message
 trace in a plain :class:`~repro.sim.Metrics`'s opt-in ``send_trace``, so
-the engine's fast path and batch kernels stay on.  The ``n`` instances
-share one construction memo: each distinct Boruvka forest is simulated
-once per call and charged, trace included, to every instance that asks
-for it.  The scheduler then draws one uniform random start delay per
-instance from a window ``[0, n)`` and superimposes the traces.  The run is
+the engine's fast path and batch kernels stay on.  The trace is a
+columnar :class:`~repro.sim.SendTrace`: each engine run adds one segment
+of port and round columns, and merges shift segments by a base clock
+instead of rewriting entries.  The ``n`` instances share one
+construction memo: each distinct Boruvka forest is simulated once per
+call and charged to every instance that asks for it, its trace segments
+shared by reference.  The scheduler then draws one uniform random start
+delay per instance from a window ``[0, n)`` and superimposes the traces
+in one counting pass over integer slot keys.  The run is
 *schedulable* if no (edge, direction, round) slot exceeds the per-round
 capacity ``c`` (the CONGEST bandwidth left for each instance-bundle; the
 scheduling theorems allow ``O(log n)`` messages per round to be bundled
@@ -28,9 +32,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
+from operator import add
 
 from ..graphs import Graph
-from ..sim import Metrics
+from ..sim import Metrics, SendTrace
 from .cssp import DEFAULT_EPS, cssp
 from .sssp import SSSPResult
 
@@ -74,18 +80,36 @@ def schedule_with_random_delays(
 ) -> ScheduleReport:
     """Superimpose per-instance (edge, round) traces under random delays.
 
-    ``traces`` maps instance -> Counter{(edge, round): messages};
+    ``traces`` maps instance -> :class:`~repro.sim.SendTrace`;
     ``durations`` maps instance -> rounds.  Returns the makespan and the
     worst per-slot load so callers can verify feasibility at their chosen
     capacity.
+
+    Every directed edge gets an integer id, once per label table, and the
+    slot ``(edge, t)`` is counted under the key ``edge * span + t``, where
+    ``span`` exceeds every delayed round ``t``: distinct slots never share
+    a key, and the counting runs in C over the trace columns.
     """
     rng = random.Random(seed)
     delays = {i: rng.randrange(max(1, window)) for i in traces}
+    placed = [
+        (base + delays[instance], pairs, ports, rounds)
+        for instance, trace in traces.items()
+        for base, pairs, ports, rounds in trace.segments
+    ]
+    span = 1 + max((offset + max(rounds) for offset, _p, _q, rounds in placed), default=0)
+    edge_ids: dict = {}
+    fresh = count()
+    scaled_by_table: dict[int, list] = {}
     slot_load: Counter = Counter()
-    for instance, trace in traces.items():
-        delay = delays[instance]
-        for (edge, round_number), count in trace.items():
-            slot_load[(edge, round_number + delay)] += count
+    for offset, pairs, ports, rounds in placed:
+        scaled = scaled_by_table.get(id(pairs))
+        if scaled is None:
+            # setdefault hands a new edge the next id and an old one its own.
+            scaled = scaled_by_table[id(pairs)] = list(
+                map(span.__mul__, map(edge_ids.setdefault, pairs, fresh))
+            )
+        slot_load.update(map(add, map(scaled.__getitem__, ports), map(offset.__add__, rounds)))
     makespan = max(
         (delays[i] + durations[i] for i in traces), default=0
     )
@@ -117,7 +141,7 @@ def apsp(
     memo: dict = {}
     for s in nodes:
         metrics = Metrics()
-        metrics.send_trace = Counter()
+        metrics.send_trace = SendTrace()
         distances, _ = cssp(graph, {s: 0}, eps=eps, metrics=metrics, memo=memo)
         per_source[s] = SSSPResult(source=s, distances=distances, metrics=metrics)
         traces[s] = metrics.send_trace

@@ -53,6 +53,7 @@ class IndexedGraph:
         "num_edges",
         "_node_views",
         "_port_src_labels",
+        "_port_pairs",
         "_engine_pool",
         "_csr",
     )
@@ -89,6 +90,7 @@ class IndexedGraph:
         self.num_edges = len(nbr) // 2
         self._node_views: list[tuple] | None = None
         self._port_src_labels: list | None = None
+        self._port_pairs: tuple | None = None
         # Single-slot pool of runner engine state (contexts, inboxes, port
         # loads) — checked out by Runner.__init__, returned by a clean run().
         self._engine_pool: tuple | None = None
@@ -115,6 +117,7 @@ class IndexedGraph:
         self.num_edges = len(self.nbr) // 2
         self._node_views = None
         self._port_src_labels = None
+        self._port_pairs = None
         self._engine_pool = None
         self._csr = csr_views
         return self
@@ -212,6 +215,20 @@ class IndexedGraph:
             for i, label in enumerate(self.labels):
                 out.extend(repeat(label, indptr[i + 1] - indptr[i]))
             self._port_src_labels = out
+        return out
+
+    def port_pairs(self) -> tuple:
+        """Flat per-port ``(src_label, dst_label)`` table (parallel to ``nbr``).
+
+        The label table of a :class:`~repro.sim.metrics.SendTrace` segment:
+        a traced run records ports, and readers label them through this.
+        Built lazily once per view; immutable, so segments share it.
+        """
+        out = self._port_pairs
+        if out is None:
+            out = self._port_pairs = tuple(
+                zip(self.port_src_labels(), map(self.labels.__getitem__, self.nbr))
+            )
         return out
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ Both engines honor the seeded fault plane of :mod:`repro.sim.faults`
 ``simulation_engine(..., faults=...)`` and metered into :class:`Metrics`.
 """
 
-from .metrics import Metrics
+from .metrics import Metrics, SendTrace
 from .kernels import (
     BatchKernel,
     available_backends,
@@ -47,6 +47,7 @@ from .events import (
 
 __all__ = [
     "Metrics",
+    "SendTrace",
     "TracingMetrics",
     "Context",
     "Inbox",

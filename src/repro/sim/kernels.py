@@ -169,8 +169,8 @@ def kernel_for(runner) -> BatchKernel | None:
     * the active backend enables kernels (``scalar`` disables them);
     * plain :class:`Metrics` only — subclasses take per-event hooks the
       batch path does not emit.  A plain accumulator's opt-in
-      ``send_trace`` does not gate: the engine folds it from the outbox
-      columns every kernel round fills;
+      ``send_trace`` does not gate: the engine copies the outbox columns
+      every kernel round fills into the trace's port and round columns;
     * no fault plane (fault draws happen per delivered message; see
       :attr:`repro.sim.faults.FaultModel.batch_safe`);
     * ``edge_capacity == 1`` (kernels skip per-port capacity counters);

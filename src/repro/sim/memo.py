@@ -10,18 +10,18 @@ sparse covers, and APSP runs ``n`` sources over one graph.
 builds the construction against a fresh :class:`Metrics`; a hit returns
 the stored value and charges that stored cost again through
 :meth:`Metrics.merge`, so every caller pays for each construction it asks
-for, exactly as if it had built it.  The memo lives as long as the dict
-its caller made, normally one top-level call.
+for, exactly as if it had built it.  A replayed send trace shares the
+stored cost's segments by reference: only their base clock is new.  The
+memo lives as long as the dict its caller made, normally one top-level
+call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from ..graphs import Graph
 from ..graphs.indexed import IndexedGraph
 from .events import current_engine
-from .metrics import Metrics
+from .metrics import Metrics, SendTrace
 
 __all__ = ["construction_key", "memoized"]
 
@@ -74,7 +74,7 @@ def memoized(memo: dict | None, metrics: Metrics, graph: Graph, params: tuple, c
     if entry is None:
         cost = Metrics()
         if traced:
-            cost.send_trace = Counter()
+            cost.send_trace = SendTrace()
         entry = memo[key] = (construct(cost), cost)
     value, cost = entry
     metrics.merge(cost, sequential=True)

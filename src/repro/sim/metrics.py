@@ -16,9 +16,95 @@ phases.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import compress
 
-__all__ = ["Metrics"]
+__all__ = ["Metrics", "SendTrace"]
+
+
+class SendTrace:
+    """Per-(directed edge, round) send counts, kept as columns.
+
+    The trace is a list of immutable *segments* ``(base, pairs, ports,
+    rounds)``: send ``k`` of a segment went over the directed edge
+    ``pairs[ports[k]]`` (a ``(src, dst)`` label pair) in round ``base +
+    rounds[k]``.  An engine run adds one segment whose ``pairs`` is its
+    graph view's per-port label table and whose ``base`` is the clock the
+    run started at; merging another trace appends that trace's segments
+    with their ``base`` shifted, sharing the columns by reference.  Once a
+    segment is in :attr:`segments` nothing mutates it.
+
+    :meth:`stamp` records one send by label (the per-event path); stamps
+    collect in an open segment that is sealed into :attr:`segments` on
+    the next read.  :meth:`counts` materializes the classic
+    ``Counter{((src, dst), round): messages}``.
+    """
+
+    __slots__ = ("_segments", "_open")
+
+    def __init__(self) -> None:
+        self._segments: list[tuple] = []
+        #: Unsealed stamps: ``({(src, dst): port}, pairs, ports, rounds)``.
+        self._open: tuple | None = None
+
+    def stamp(self, src: object, dst: object, round_number: int) -> None:
+        """Record one send on ``src -> dst`` in absolute round ``round_number``."""
+        if self._open is None:
+            self._open = ({}, [], array("q"), array("q"))
+        index, pairs, ports, rounds = self._open
+        pair = (src, dst)
+        port = index.get(pair)
+        if port is None:
+            port = index[pair] = len(pairs)
+            pairs.append(pair)
+        ports.append(port)
+        rounds.append(round_number)
+
+    def add(self, base: int, pairs, ports: array, rounds: array) -> None:
+        """Append one segment; the caller hands over ``ports``/``rounds``.
+
+        An empty segment is dropped, so every stored segment has a round.
+        """
+        if ports:
+            self._segments.append((base, pairs, ports, rounds))
+
+    @property
+    def segments(self) -> list[tuple]:
+        """The ``(base, pairs, ports, rounds)`` segments (open stamps sealed)."""
+        if self._open is not None:
+            _index, pairs, ports, rounds = self._open
+            self._segments.append((0, tuple(pairs), ports, rounds))
+            self._open = None
+        return self._segments
+
+    def extend(self, other: "SendTrace", shift: int) -> None:
+        """Append ``other``'s segments, ``shift`` rounds later, sharing columns."""
+        self._segments.extend(
+            [(base + shift, pairs, ports, rounds)
+             for base, pairs, ports, rounds in other.segments]
+        )
+
+    def counts(self) -> Counter:
+        """``Counter{((src, dst), round): messages}`` over every segment."""
+        out: Counter = Counter()
+        for base, pairs, ports, rounds in self.segments:
+            out.update(zip(map(pairs.__getitem__, ports), map(base.__add__, rounds)))
+        return out
+
+    def rounds_on(self, edges) -> Counter:
+        """``Counter{round: messages}`` over the directed ``edges`` only."""
+        out: Counter = Counter()
+        wanted_by_table: dict[int, set] = {}
+        for base, pairs, ports, rounds in self.segments:
+            wanted = wanted_by_table.get(id(pairs))
+            if wanted is None:
+                wanted = wanted_by_table[id(pairs)] = {
+                    port for port, pair in enumerate(pairs) if pair in edges
+                }
+            if wanted:
+                out.update(map(base.__add__, compress(rounds, map(wanted.__contains__, ports))))
+        return out
 
 
 class Metrics:
@@ -48,11 +134,11 @@ class Metrics:
         # In-phase round of the currently executing runner; set by the
         # per-event engine path so record_send can timestamp a send.
         self.current_round: int = 0
-        #: Opt-in send trace: ``None``, or a Counter over the sends that
-        #: ``edge_messages`` counts, keyed ``((src, dst), round)``.  The
+        #: Opt-in send trace: ``None``, or a :class:`SendTrace` of the sends
+        #: that ``edge_messages`` counts, by ``(src, dst)`` and round.  The
         #: round is absolute: rounds before the run plus the in-run round.
         #: Never serialized; see DESIGN.md.
-        self.send_trace: Counter | None = None
+        self.send_trace: SendTrace | None = None
 
     # ------------------------------------------------------------------
     # recording (called by the runner)
@@ -64,7 +150,7 @@ class Metrics:
         if not delivered:
             self.lost_messages += 1
         if self.send_trace is not None:
-            self.send_trace[((src, dst), self.rounds + self.current_round)] += 1
+            self.send_trace.stamp(src, dst, self.rounds + self.current_round)
 
     def record_awake(self, node: object, rounds: int = 1) -> None:
         """Credit ``rounds`` awake rounds to ``node``."""
@@ -91,7 +177,7 @@ class Metrics:
         self.edge_messages[(src, dst)] += 1
         self.messages_dropped += 1
         if self.send_trace is not None:
-            self.send_trace[((src, dst), self.rounds + self.current_round)] += 1
+            self.send_trace.stamp(src, dst, self.rounds + self.current_round)
 
     def record_duplicated(self, src: object, dst: object) -> None:
         """One fault-injected duplicate delivery on ``src -> dst``.
@@ -153,15 +239,12 @@ class Metrics:
         congestion, energy and participation always add — they are totals
         regardless of scheduling.
 
-        A send trace on both sides folds too: ``other``'s rounds are
-        shifted by this accumulator's clock when the phases run
-        back-to-back, and by nothing when they run concurrently.
+        A send trace on both sides folds too: ``other``'s segments are
+        appended, shifted by this accumulator's clock when the phases run
+        back-to-back and by nothing when they run concurrently.
         """
-        trace = self.send_trace
-        if trace is not None and other.send_trace:
-            shift = self.rounds if sequential else 0
-            for (edge, t), count in other.send_trace.items():
-                trace[(edge, t + shift)] += count
+        if self.send_trace is not None and other.send_trace is not None:
+            self.send_trace.extend(other.send_trace, self.rounds if sequential else 0)
         if sequential:
             self.rounds += other.rounds
         else:
@@ -179,8 +262,9 @@ class Metrics:
     def copy(self) -> "Metrics":
         out = Metrics()
         if self.send_trace is not None:
-            out.send_trace = Counter()
+            out.send_trace = SendTrace()
         out.merge(self)
+        out.current_round = self.current_round
         return out
 
     # ------------------------------------------------------------------

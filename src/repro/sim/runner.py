@@ -67,9 +67,11 @@ execution as delivering at ``r + 1``.  Under any other model the message
 is parked in a per-arrival-time slot (parallel port and payload lists)
 and moved into the inbox at its arrival time, before that time's wakes
 run.  Plain :class:`Metrics` are metered in bulk through deferred folds
-under every latency model and fault plane, an opt-in send trace
-included; metric subclasses get one ``record_*`` hook call per event
-instead.
+under every latency model and fault plane; metric subclasses get one
+``record_*`` hook call per event instead.  A plain accumulator's opt-in
+send trace is not folded at all: a traced run extends a port column and
+a round column per delivery round and hands both to the
+:class:`~repro.sim.metrics.SendTrace` as one segment when it ends.
 
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
@@ -88,6 +90,7 @@ from __future__ import annotations
 
 import copy
 import enum
+from array import array
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import repeat
@@ -115,7 +118,8 @@ class SimulationError(RuntimeError):
 _IDLE = -1
 
 #: Deferred metric logs fold into their counters once they reach this many
-#: entries, bounding runner memory on message-heavy executions.
+#: entries, bounding runner memory on message-heavy executions.  A send
+#: trace's columns never fold: they are the trace, O(traced messages).
 _LOG_FOLD = 1 << 20
 
 
@@ -136,12 +140,6 @@ def _fold_bcasts(edge_messages: Counter, bcast_log: list, labels: list,
         sender = labels[src_i]
         for port_id in range(indptr[src_i], indptr[src_i + 1]):
             edge_messages[(sender, labels[nbr[port_id]])] += count
-
-
-def _fold_trace(send_trace: Counter, run_trace: Counter, base: int,
-                port_src: list, labels: list, nbr: list) -> None:
-    for (port_id, r), count in run_trace.items():
-        send_trace[((port_src[port_id], labels[nbr[port_id]]), base + r)] += count
 
 
 #: ``next_wake`` marker for "no live wake scheduled".
@@ -541,10 +539,12 @@ class Runner:
         # (TracingMetrics etc.) override the record_* hooks and get the
         # per-event calls — same accumulated state either way.
         fast = type(metrics) is Metrics
-        # The fast path keeps an opt-in send trace as (port, round) counts
-        # and folds them into labeled, absolute-round keys like the logs.
+        # The fast path keeps an opt-in send trace as two columns, port and
+        # in-run round per send, and hands them over as one segment.
         trace = metrics.send_trace if fast else None
-        run_trace: Counter = Counter()
+        if trace is not None:
+            trace_ports = array("q")
+            trace_rounds = array("q")
         plane = self.faults
         # Batch-kernel dispatch: when every gate passes (numpy backend,
         # plain Metrics, no fault plane, capacity 1, homogeneous roster
@@ -852,11 +852,10 @@ class Runner:
                     port_log.extend(out_ports)
                     bcast_log.extend(bcast_src)
                     if trace is not None:
-                        run_trace.update(zip(out_ports, repeat(r)))
+                        trace_ports.extend(out_ports)
                         for src_i in bcast_src:
-                            run_trace.update(
-                                zip(range(indptr[src_i], indptr[src_i + 1]), repeat(r))
-                            )
+                            trace_ports.extend(range(indptr[src_i], indptr[src_i + 1]))
+                        trace_rounds.extend(repeat(r, sent))
                 nxt_bucket = buckets.get(nxt_round)
                 if plane is not None:
                     occ.clear()
@@ -879,9 +878,6 @@ class Runner:
                 if len(bcast_log) >= _LOG_FOLD:
                     _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
                     bcast_log.clear()
-                if len(run_trace) >= _LOG_FOLD:
-                    _fold_trace(trace, run_trace, metrics.rounds, port_src, labels, nbr)
-                    run_trace.clear()
                 if message_budget is not None:
                     # Budgets bound work; they do not tear messages, so the
                     # round's batch resolves whole before the stop.
@@ -919,10 +915,10 @@ class Runner:
                 _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
             if bcast_log:
                 _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
-            if run_trace:
+            if trace is not None:
                 # Before record_rounds below: metrics.rounds is still the
                 # clock this run started at.
-                _fold_trace(trace, run_trace, metrics.rounds, port_src, labels, nbr)
+                trace.add(metrics.rounds, indexed.port_pairs(), trace_ports, trace_rounds)
         final_time = (last_round + 1) * self.round_width
         metrics.record_rounds(final_time)
         if indexed._engine_pool is None:

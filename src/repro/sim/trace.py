@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .metrics import Metrics
+from .metrics import Metrics, SendTrace
 
 __all__ = ["TracingMetrics"]
 
@@ -28,9 +28,9 @@ class TracingMetrics(Metrics):
         self.messages_by_round: Counter = Counter()
         #: round -> number of awake nodes.
         self.awake_by_round: Counter = Counter()
-        #: (edge, round) -> messages, for per-edge congestion timelines:
-        #: the base class stamps each send into it.
-        self.send_trace = Counter()
+        #: Sends by (edge, round), for per-edge congestion timelines: the
+        #: base class stamps each send into it.
+        self.send_trace = SendTrace()
 
     def _now(self) -> int:
         return self.rounds + self.current_round
@@ -77,8 +77,4 @@ class TracingMetrics(Metrics):
 
     def edge_profile(self, u: object, v: object) -> dict[int, int]:
         """Round -> messages for the undirected edge ``{u, v}``."""
-        out: dict[int, int] = {}
-        for (edge, r), count in self.send_trace.items():
-            if edge in ((u, v), (v, u)):
-                out[r] = out.get(r, 0) + count
-        return out
+        return dict(sorted(self.send_trace.rounds_on({(u, v), (v, u)}).items()))

@@ -14,7 +14,7 @@ from repro import graphs
 from repro.core import apsp, boruvka, build_maximal_forest
 from repro.core.cssp import cssp, distance_upper_bound, thresholded_cssp
 from repro.graphs import Graph, INFINITY
-from repro.sim import Metrics, TracingMetrics, memo as construction_memo
+from repro.sim import Metrics, SendTrace, TracingMetrics, memo as construction_memo
 from repro.sim.events import simulation_engine
 
 # The package re-exports the cssp function under the module's name.
@@ -259,12 +259,12 @@ FOREST_CASES = {
 
 def _traced_metrics() -> Metrics:
     metrics = Metrics()
-    metrics.send_trace = Counter()
+    metrics.send_trace = SendTrace()
     return metrics
 
 
 def _serialized(distances, metrics) -> tuple:
-    trace = None if metrics.send_trace is None else sorted(metrics.send_trace.items())
+    trace = None if metrics.send_trace is None else sorted(metrics.send_trace.counts().items())
     return (
         json.dumps(sorted(distances.items())),
         json.dumps(metrics.to_dict()),
@@ -321,7 +321,7 @@ class TestForestMemo:
         for source, run in shared.per_source.items():
             other = fresh.per_source[source].metrics
             assert json.dumps(run.metrics.to_dict()) == json.dumps(other.to_dict())
-            assert run.metrics.send_trace == other.send_trace
+            assert run.metrics.send_trace.counts() == other.send_trace.counts()
 
     def test_hit_returns_stored_forest_and_replays_its_cost(self, monkeypatch):
         _requests, builds = _count_forests(monkeypatch)
@@ -335,8 +335,8 @@ class TestForestMemo:
         assert again is forest and len(builds) == 1 and len(memo) == 1
         assert second.rounds == first.rounds + 7 and first.rounds > 0
         # The replayed trace lands on the caller's clock.
-        assert second.send_trace == Counter(
-            {(edge, t + 7): count for (edge, t), count in first.send_trace.items()}
+        assert second.send_trace.counts() == Counter(
+            {(edge, t + 7): count for (edge, t), count in first.send_trace.counts().items()}
         )
 
     def test_untraced_cost_never_replays_into_a_traced_caller(self, monkeypatch):
@@ -347,7 +347,7 @@ class TestForestMemo:
         tracing = _traced_metrics()
         build_maximal_forest(graph, metrics=tracing, memo=memo)
         assert len(builds) == 2 and len(memo) == 2
-        assert sum(tracing.send_trace.values()) == tracing.total_messages > 0
+        assert sum(tracing.send_trace.counts().values()) == tracing.total_messages > 0
 
     def test_repeated_inputs_are_built_once(self, monkeypatch):
         requests, builds = _count_forests(monkeypatch)

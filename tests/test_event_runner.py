@@ -290,7 +290,7 @@ def test_tracing_metrics_parity():
     assert sync.to_dict() == event.to_dict()
     assert sync.messages_by_round == event.messages_by_round
     assert sync.awake_by_round == event.awake_by_round
-    assert sync.send_trace == event.send_trace
+    assert sync.send_trace.counts() == event.send_trace.counts()
 
 
 def test_parity_on_disconnected_graph():

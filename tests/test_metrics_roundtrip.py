@@ -102,3 +102,21 @@ class TestFoldingProperty:
         g = graphs.random_weights(graphs.random_connected_graph(16, seed=3), 9, seed=4)
         metrics = sssp(g, 0).metrics
         assert_equivalent(Metrics.from_dict(json.loads(json.dumps(metrics.to_dict()))), metrics)
+
+
+class TestCopy:
+    @pytest.mark.parametrize("trial", range(10))
+    def test_copy_serializes_like_the_original(self, trial):
+        m = random_metrics(random.Random(3000 + trial))
+        assert m.copy().to_dict() == m.to_dict()
+
+    def test_copy_of_a_tracing_run_keeps_its_current_round(self):
+        from repro import graphs
+        from repro.core.cssp import cssp
+        from repro.sim import TracingMetrics
+
+        t = TracingMetrics()
+        cssp(graphs.make_family("er", 12, max_weight=5, seed=3), {0: 0}, metrics=t)
+        assert t.current_round > 0
+        assert t.copy().current_round == t.current_round
+        assert t.copy().to_dict() == t.to_dict()

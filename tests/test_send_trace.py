@@ -1,15 +1,18 @@
 """The opt-in send trace on plain Metrics.
 
-The round engine folds the trace from its outbox columns (batch kernels
-included); the per-event path stamps it one ``record_send`` call at a
-time.  These tests pin the two together on the library's own SSSP, pin the
-merge rule, and pin APSP's per-source traces and schedule to digests taken
-before the trace moved into the engine.  ``tests/test_runner_differential.py``
-checks the fold against the reference engine on synthetic protocols.
+The round engine hands the trace its outbox columns as one segment per
+run (batch kernels included); the per-event path stamps it one
+``record_send`` call at a time.  Every read goes through ``counts()``.
+These tests pin the two together on the library's own SSSP, pin the merge
+rule against a naive ``Counter`` model, and pin APSP's per-source traces
+and schedule to digests taken before the trace moved into the engine.
+``tests/test_runner_differential.py`` checks the engine's columns against
+the reference engine on synthetic protocols.
 """
 
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -17,14 +20,18 @@ import pytest
 from repro import graphs
 from repro.core import apsp, cssp
 from repro.graphs import Graph
-from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, TracingMetrics
+from repro.sim import (
+    EventRunner, Metrics, Mode, NodeAlgorithm, RandomDelayLatency, Runner, SendTrace,
+    TracingMetrics,
+)
 from repro.sim.events import simulation_engine
+from repro.sim.memo import construction_key, memoized
 from repro.sim.kernels import use_backend
 
 
 def traced() -> Metrics:
     metrics = Metrics()
-    metrics.send_trace = Counter()
+    metrics.send_trace = SendTrace()
     return metrics
 
 
@@ -41,8 +48,8 @@ class TestTracingMetricsAgreesWithTheFold:
             runs.append((distances, metrics))
         (slow_dist, slow), (fast_dist, fast) = runs
         assert slow_dist == fast_dist == graph.dijkstra([0])
-        assert slow.send_trace == fast.send_trace
-        assert sum(fast.send_trace.values()) == fast.total_messages
+        assert slow.send_trace.counts() == fast.send_trace.counts()
+        assert sum(fast.send_trace.counts().values()) == fast.total_messages
         # Same charged cost; only the per-event path stamps current_round.
         slow_row = slow.to_dict()
         slow_row["current_round"] = 0
@@ -69,23 +76,24 @@ def test_fault_dropped_sends_are_traced_on_both_paths():
         runs.append(metrics)
     slow, fast = runs
     assert fast.messages_dropped > 0
-    assert slow.send_trace == fast.send_trace
+    assert slow.send_trace.counts() == fast.send_trace.counts()
     # The trace covers every send edge_messages counts, dropped ones too.
-    assert sum(fast.send_trace.values()) == fast.total_messages
+    assert sum(fast.send_trace.counts().values()) == fast.total_messages
 
 
 class TestMerge:
     def test_sequential_merge_shifts_by_the_clock(self):
         first = traced()
-        first.send_trace[((0, 1), 3)] = 1
+        first.send_trace.stamp(0, 1, 3)
         first.record_rounds(10)
         second = traced()
-        second.send_trace[((0, 1), 3)] = 2
-        second.send_trace[((1, 0), 0)] = 1
+        second.send_trace.stamp(0, 1, 3)
+        second.send_trace.stamp(0, 1, 3)
+        second.send_trace.stamp(1, 0, 0)
         second.record_rounds(4)
         first.merge(second)
         assert first.rounds == 14
-        assert first.send_trace == Counter(
+        assert first.send_trace.counts() == Counter(
             {((0, 1), 3): 1, ((0, 1), 13): 2, ((1, 0), 10): 1}
         )
 
@@ -93,26 +101,28 @@ class TestMerge:
         first = traced()
         first.record_rounds(10)
         second = traced()
-        second.send_trace[((0, 1), 3)] = 2
+        second.send_trace.stamp(0, 1, 3)
+        second.send_trace.stamp(0, 1, 3)
         second.record_rounds(4)
         first.merge(second, sequential=False)
         assert first.rounds == 10
-        assert first.send_trace == Counter({((0, 1), 3): 2})
+        assert first.send_trace.counts() == Counter({((0, 1), 3): 2})
 
     def test_trace_needs_both_sides(self):
         plain = Metrics()
         source = traced()
-        source.send_trace[((0, 1), 0)] = 1
+        source.send_trace.stamp(0, 1, 0)
         plain.merge(source)
         assert plain.send_trace is None
         sink = traced()
         sink.merge(Metrics())
-        assert sink.send_trace == Counter()
+        assert sink.send_trace.counts() == Counter()
 
     def test_copy_keeps_the_trace(self):
         metrics = traced()
-        metrics.send_trace[((2, 5), 7)] = 3
-        assert metrics.copy().send_trace == metrics.send_trace
+        for _ in range(3):
+            metrics.send_trace.stamp(2, 5, 7)
+        assert metrics.copy().send_trace.counts() == metrics.send_trace.counts()
         assert Metrics().copy().send_trace is None
 
     def test_trace_is_never_serialized(self):
@@ -120,9 +130,180 @@ class TestMerge:
         plain, tracing = Metrics(), traced()
         cssp(graph, [0], metrics=plain)
         cssp(graph, [0], metrics=tracing)
-        assert tracing.send_trace
+        assert tracing.send_trace.counts()
         assert json.dumps(tracing.to_dict()) == json.dumps(plain.to_dict())
         assert Metrics.from_dict(tracing.to_dict()).send_trace is None
+
+
+# ---------------------------------------------------------------------------
+# The trace algebra against a naive Counter model
+# ---------------------------------------------------------------------------
+
+
+class Chatter(NodeAlgorithm):
+    """Seeded broadcasts and bursts of unicasts, then naps; halts at a horizon.
+
+    What a node sends depends only on its own seed and round, so every
+    engine and metering path sees the same sends for the same schedule.
+    """
+
+    def __init__(self, node, seed: int, burst: int, horizon: int) -> None:
+        self.rng = random.Random(seed * 7919 + node)
+        self.burst = burst
+        self.horizon = horizon
+
+    def on_round(self, ctx, inbox):
+        if ctx.round >= self.horizon:
+            ctx.halt()
+            return
+        rng = self.rng
+        if rng.random() < 0.4:
+            ctx.broadcast(ctx.round)
+            unicasts = self.burst - 1
+        else:
+            unicasts = self.burst
+        for v in ctx.neighbors:
+            for _ in range(rng.randrange(unicasts + 1)):
+                ctx.send(v, ctx.round)
+        ctx.wake_at(ctx.round + 1 + rng.randrange(3))
+
+
+class Stamps(Metrics):
+    """The naive model of one run: one Counter stamp per send.
+
+    A subclass, so the engines call its hooks once per send; it keeps no
+    ``send_trace`` of its own.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stamps: Counter = Counter()
+
+    def record_send(self, src, dst, delivered):
+        super().record_send(src, dst, delivered)
+        self.stamps[((src, dst), self.rounds + self.current_round)] += 1
+
+
+class Model:
+    """A naive accumulator: a clock and a Counter, shifted entry by entry."""
+
+    def __init__(self, clock: int = 0, stamps: Counter | None = None) -> None:
+        self.clock = clock
+        self.stamps = Counter() if stamps is None else stamps
+
+    def merge(self, other: "Model", sequential: bool) -> None:
+        shift = self.clock if sequential else 0
+        for (edge, t), count in other.stamps.items():
+            self.stamps[(edge, t + shift)] += count
+        self.clock = self.clock + other.clock if sequential else max(self.clock, other.clock)
+
+    def copy(self) -> "Model":
+        return Model(self.clock, Counter(self.stamps))
+
+
+def random_execution(rng: random.Random):
+    """One seeded execution: ``run(metrics)`` runs it into ``metrics``."""
+    graph = graphs.random_connected_graph(
+        rng.randrange(4, 12), extra_edge_prob=rng.choice([0.0, 0.3]), seed=rng.randrange(1000)
+    )
+    seed = rng.randrange(1000)
+    burst = rng.choice([1, 1, 2, 3])
+    width = rng.choice([1, burst])
+    horizon = rng.randrange(2, 9)
+    mode = rng.choice([Mode.CONGEST, Mode.SLEEPING])
+    engine = rng.choice(["round", "event", "event-delayed"])
+
+    def run(metrics):
+        algorithms = {u: Chatter(u, seed, burst, horizon) for u in graph.nodes()}
+        kwargs = dict(metrics=metrics, round_width=width, edge_capacity=burst)
+        if engine == "round":
+            Runner(graph, algorithms, mode, **kwargs).run()
+        else:
+            latency = RandomDelayLatency(3, seed=seed) if engine == "event-delayed" else None
+            EventRunner(graph, algorithms, mode, latency=latency, **kwargs).run()
+        return seed
+
+    return graph, (seed, burst, width, horizon, mode, engine), run
+
+
+def modelled(run) -> Model:
+    """What ``run`` costs by the naive model, on its own clock from 0."""
+    stamps = Stamps()
+    run(stamps)
+    return Model(stamps.rounds, stamps.stamps)
+
+
+def column_snapshot(trace: SendTrace) -> dict:
+    """Every segment's columns by identity, with their contents."""
+    return {
+        id(ports): (ports, rounds, pairs, ports.tobytes(), rounds.tobytes(), tuple(pairs))
+        for _base, pairs, ports, rounds in trace.segments
+    }
+
+
+class TestTraceAlgebraAgainstANaiveModel:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_programs(self, seed):
+        rng = random.Random(seed)
+        memo: dict = {}
+        executions = [random_execution(rng) for _ in range(4)]
+        pool = []  # (real accumulator, naive model)
+        seen: dict = {}  # id(ports) -> snapshot of every segment ever read
+
+        def fresh():
+            real = TracingMetrics() if rng.random() < 0.25 else traced()
+            return real, Model()
+
+        pool.extend(fresh() for _ in range(3))
+        hits = 0
+        for _step in range(32):
+            op = rng.choice(["run", "run", "replay", "replay", "replay", "merge", "merge",
+                             "copy", "new"])
+            index = rng.randrange(len(pool))
+            real, model = pool[index]
+            if op == "run":
+                graph, _params, run = rng.choice(executions)
+                delta = modelled(run)
+                run(real)
+                model.merge(delta, sequential=True)
+            elif op == "replay":
+                graph, params, run = rng.choice(executions[:2])
+                delta = modelled(run)
+                before = len(real.send_trace.segments)
+                key = (construction_key(graph, *params), None, True)
+                hit = key in memo and type(real) is Metrics
+                assert memoized(memo, real, graph, params, run) == params[0]
+                model.merge(delta, sequential=True)
+                if hit:
+                    # The stored cost's segments are shared, not copied.
+                    hits += 1
+                    _value, cost = memo[key]
+                    added = real.send_trace.segments[before:]
+                    stored = cost.send_trace.segments
+                    assert len(added) == len(stored)
+                    for (_b, pairs, ports, rounds), (_sb, spairs, sports, srounds) in zip(
+                        added, stored
+                    ):
+                        assert pairs is spairs and ports is sports and rounds is srounds
+            elif op == "merge":
+                other = rng.choice([k for k in range(len(pool)) if k != index])
+                sequential = rng.random() < 0.6
+                real.merge(pool[other][0], sequential=sequential)
+                model.merge(pool[other][1], sequential=sequential)
+            elif op == "copy":
+                pool.append((real.copy(), model.copy()))
+            else:
+                pool.append(fresh())
+            for real, model in pool:
+                assert real.rounds == model.clock
+                assert real.send_trace.counts() == model.stamps
+                assert sum(model.stamps.values()) == real.total_messages
+                seen.update(column_snapshot(real.send_trace))
+        assert hits  # the program replayed a stored cost at least once
+        # No run, merge, copy or replay rewrote a segment once it was read.
+        for ports, rounds, pairs, port_bytes, round_bytes, pair_tuple in seen.values():
+            assert ports.tobytes() == port_bytes and rounds.tobytes() == round_bytes
+            assert tuple(pairs) == pair_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +340,7 @@ def apsp_digest(result) -> str:
                 repr(source),
                 sorted(
                     [src, dst, t, count]
-                    for ((src, dst), t), count in run.metrics.send_trace.items()
+                    for ((src, dst), t), count in run.metrics.send_trace.counts().items()
                 ),
             ]
             for source, run in sorted(result.per_source.items(), key=lambda kv: repr(kv[0]))
@@ -182,4 +363,4 @@ def test_apsp_traces_and_schedule_match_the_pinned_digests(name, engine, backend
     assert apsp_digest(result) == digest
     for run in result.per_source.values():
         assert type(run.metrics) is Metrics
-        assert sum(run.metrics.send_trace.values()) == run.metrics.total_messages
+        assert sum(run.metrics.send_trace.counts().values()) == run.metrics.total_messages

@@ -1,6 +1,9 @@
 """SSSP public API and the random-delay APSP scheduler."""
 
 import math
+import random
+from array import array
+from collections import Counter
 
 import pytest
 
@@ -9,7 +12,7 @@ from repro import graphs
 from repro.core.apsp import apsp, schedule_with_random_delays
 from repro.core.sssp import sssp, sssp_distances
 from repro.graphs import INFINITY
-from collections import Counter
+from repro.sim import SendTrace
 
 
 class TestSSSP:
@@ -89,16 +92,34 @@ class TestAPSP:
         assert result.schedule.makespan < sequential / 2
 
 
+def trace_of(counts: dict) -> SendTrace:
+    """A per-event-stamped trace holding ``{((src, dst), round): messages}``."""
+    trace = SendTrace()
+    for ((src, dst), t), messages in counts.items():
+        for _ in range(messages):
+            trace.stamp(src, dst, t)
+    return trace
+
+
+def naive_superposition(traces: dict, delays: dict) -> Counter:
+    """The slot loads by tuple keys, one send at a time."""
+    load: Counter = Counter()
+    for instance, trace in traces.items():
+        for (edge, t), messages in trace.counts().items():
+            load[(edge, t + delays[instance])] += messages
+    return load
+
+
 class TestScheduler:
     def test_single_instance(self):
-        traces = {0: Counter({(("a", "b"), 5): 1})}
+        traces = {0: trace_of({(("a", "b"), 5): 1})}
         report = schedule_with_random_delays(traces, {0: 10}, window=1, capacity=1, seed=0)
         assert report.makespan == 10
         assert report.max_slot_load == 1
         assert report.feasible
 
     def test_collision_detection(self):
-        trace = Counter({(("a", "b"), 0): 1})
+        trace = trace_of({(("a", "b"), 0): 1})
         traces = {i: trace for i in range(5)}
         report = schedule_with_random_delays(
             traces, {i: 1 for i in range(5)}, window=1, capacity=1, seed=0
@@ -108,7 +129,7 @@ class TestScheduler:
         assert not report.feasible
 
     def test_spreading_with_window(self):
-        trace = Counter({(("a", "b"), 0): 1})
+        trace = trace_of({(("a", "b"), 0): 1})
         traces = {i: trace for i in range(20)}
         report = schedule_with_random_delays(
             traces, {i: 1 for i in range(20)}, window=100, capacity=3, seed=1
@@ -121,8 +142,67 @@ class TestScheduler:
         assert report.feasible
 
     def test_delays_within_window(self):
-        traces = {i: Counter() for i in range(10)}
+        traces = {i: SendTrace() for i in range(10)}
         report = schedule_with_random_delays(
             traces, {i: 0 for i in range(10)}, window=7, capacity=1, seed=2
         )
         assert all(0 <= d < 7 for d in report.delays.values())
+
+    def test_edges_are_matched_by_label_not_by_port(self):
+        """One edge at different ports of two tables is one edge; two edges
+        whose keys would meet at the span boundary stay two."""
+        xy = (("x", "y"), ("y", "x"))
+        yx = (("y", "x"), ("x", "y"))
+        first, second = SendTrace(), SendTrace()
+        first.add(0, xy, array("q", [0, 1]), array("q", [9, 0]))
+        second.add(0, yx, array("q", [1]), array("q", [9]))
+        report = schedule_with_random_delays(
+            {0: first, 1: second}, {0: 10, 1: 10}, window=1, capacity=1, seed=0
+        )
+        assert report.max_slot_load == 2  # ("x", "y") at round 9, twice
+        report = schedule_with_random_delays(
+            {0: first}, {0: 10}, window=1, capacity=1, seed=0
+        )
+        assert report.max_slot_load == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_naive_superposition(self, seed):
+        """Over 1,000 distinct edges and rounds past 2**20: the integer slot
+        keys must count exactly what tuple keys count.
+
+        Slots are dense (two clusters of a few dozen rounds), so a key
+        that aliased one slot onto another would raise the worst load.
+        Label tables overlap, so one edge sits at different ports in
+        different tables.
+        """
+        rng = random.Random(seed)
+        labels = [f"v{k}" for k in range(30)] + list(range(30))
+        pool = rng.sample([(u, v) for u in labels for v in labels if u != v], 1500)
+        tables = [tuple(rng.sample(pool, 600)) for _ in range(4)]
+        traces = {}
+        for instance in range(12):
+            trace = SendTrace()
+            for _ in range(rng.randrange(1, 5)):
+                pairs = rng.choice(tables)
+                size = rng.randrange(200, 1500)
+                rounds = array("q", (rng.randrange(12) for _ in range(size)))
+                ports = array("q", (rng.randrange(len(pairs)) for _ in range(size)))
+                base = rng.randrange(8) + rng.choice((0, 1 << 20))
+                trace.add(base, pairs, ports, rounds)
+            if instance % 3 == 0:
+                trace.stamp("v1", 2, (1 << 20) + rng.randrange(5))
+            # Instances share traces, as memo replays share segments.
+            traces[instance] = traces[instance - 5] if instance >= 8 else trace
+        edges = {edge for trace in traces.values() for edge, _t in trace.counts()}
+        assert len(edges) > 1000
+        durations = {i: rng.randrange(1 << 21) for i in traces}
+        window = rng.choice((1, 4, 16))
+        report = schedule_with_random_delays(
+            traces, durations, window=window, capacity=3, seed=seed
+        )
+        load = naive_superposition(traces, report.delays)
+        assert max(t for _edge, t in load) > 1 << 20
+        assert report.max_slot_load == max(load.values())
+        assert report.makespan == max(report.delays[i] + durations[i] for i in traces)
+        rng_delays = random.Random(seed)
+        assert report.delays == {i: rng_delays.randrange(window) for i in traces}
