@@ -17,7 +17,7 @@ one graph pay the O(n + m) build exactly once.
 
 Directed-edge numbering: the CSR slot of neighbor ``v`` in ``u``'s adjacency
 run is the *port id* of the directed edge ``u -> v``.  Port ids are what the
-runner uses for O(1) per-round edge-capacity accounting.
+runner's outbox columns, capacity check and metric folds are keyed by.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class IndexedGraph:
         self._node_views: list[tuple] | None = None
         self._port_src_labels: list | None = None
         self._port_pairs: tuple | None = None
-        # Single-slot pool of runner engine state (contexts, inboxes, port
-        # loads) — checked out by Runner.__init__, returned by a clean run().
+        # Single-slot pool of runner engine state (contexts, inboxes) —
+        # checked out by Runner.__init__, returned by a clean run().
         self._engine_pool: tuple | None = None
         # Cached (indptr, nbr, wt) numpy export; see csr().
         self._csr: tuple | None = None

@@ -13,16 +13,14 @@ The contract is **metering parity**: a kernel round must leave every
 observable — message counts, per-edge counters, wake/energy accounting,
 round totals, and the algorithm's final local state — byte-identical to the
 scalar path.  The engine enforces the cheap half mechanically (it keeps the
-delivery phase, the wake logs, and the scheduler untouched, so a kernel
-that emits the same outbox columns and the same wake decisions *cannot*
-diverge); the differential suite in ``tests/test_kernels.py`` pins the
-rest across the scenario catalog.
+delivery phase, the per-round edge-capacity check over the outbox columns,
+the wake logs, and the scheduler untouched, so a kernel that emits the
+same outbox columns and the same wake decisions *cannot* diverge, nor
+overrun an edge unnoticed); the differential suite in
+``tests/test_kernels.py`` pins the rest across the scenario catalog.
 
 Rules a kernel must follow (the engine relies on them):
 
-* emit at most one message per port per round (the engine skips the
-  per-port capacity counters for kernel rounds; kernels are only built
-  when ``edge_capacity == 1``);
 * append unicasts to ``out_ports``/``out_payloads`` (port ids) and
   broadcasts to ``bcast_src``/``bcast_payloads`` (node indices) in the
   same order the scalar path would — inbox order is observable;
@@ -173,9 +171,11 @@ def kernel_for(runner) -> BatchKernel | None:
       every kernel round fills into the trace's port and round columns;
     * no fault plane (fault draws happen per delivered message; see
       :attr:`repro.sim.faults.FaultModel.batch_safe`);
-    * ``edge_capacity == 1`` (kernels skip per-port capacity counters);
     * a homogeneous algorithm roster whose class opts in via
       ``batch_kernel`` (which may itself return ``None``).
+
+    ``edge_capacity`` is not a gate: the engine checks a kernel round's
+    outbox columns against it exactly as it checks scalar sends.
     """
     if current_backend() == "scalar":
         return None
@@ -183,8 +183,6 @@ def kernel_for(runner) -> BatchKernel | None:
         return None
     plane = runner.faults
     if plane is not None and not getattr(plane, "batch_safe", False):
-        return None
-    if runner.edge_capacity != 1:
         return None
     algorithms = runner._algorithms_by_index
     if not algorithms:

@@ -123,7 +123,8 @@ class ReferenceRunner:
         if self._edge_load[(src, dst)] > self.edge_capacity:
             raise SimulationError(
                 f"edge capacity exceeded: {src!r}->{dst!r} sent "
-                f"{self._edge_load[(src, dst)]} messages in one round "
+                f"{self._edge_load[(src, dst)]} messages in round "
+                f"{self._contexts[src].round} "
                 f"(capacity {self.edge_capacity})"
             )
         self._outbox.append((src, dst, payload))

@@ -42,10 +42,9 @@ flat parallel arrays, not per-message objects.
 
 * the outbox is a pair of parallel lists ``(port_id, payload)`` — a unicast
   send appends one integer and one payload, no tuple is built;
-* :meth:`Context.broadcast` is a fast path: one batched capacity check
-  against the node's CSR port slice, one touched-list extend, and a single
-  ``(src_index, payload)`` record that the delivery phase expands — not
-  ``degree`` individual sends;
+* :meth:`Context.broadcast` is a fast path: a single ``(src_index,
+  payload)`` record that the delivery phase expands over the node's CSR
+  port slice — not ``degree`` individual sends;
 * delivery writes into reusable per-node :class:`Inbox` buffers (parallel
   ``senders`` / ``payloads`` lists cleared by truncation after each node
   steps), with sender labels taken from a precomputed per-port label table
@@ -54,8 +53,10 @@ flat parallel arrays, not per-message objects.
   integer buckets, so quiet stretches between wakes are skipped outright
   (a round is pushed once when its bucket is created — no per-node heap
   churn);
-* per-round edge-capacity accounting is a flat per-port counter array reset
-  via a touched-list, not a fresh ``Counter`` per round;
+* edge capacity is checked once per delivery round over the outbox port
+  and broadcast columns, whether scalar steps or a batch kernel filled
+  them; a round within capacity costs a few C-level set or ``Counter``
+  passes, and exact per-port loads are computed only on a breach;
 * awake nodes step in node-index order (graph insertion order), which is
   deterministic.
 
@@ -140,6 +141,37 @@ def _fold_bcasts(edge_messages: Counter, bcast_log: list, labels: list,
         sender = labels[src_i]
         for port_id in range(indptr[src_i], indptr[src_i + 1]):
             edge_messages[(sender, labels[nbr[port_id]])] += count
+
+
+def _check_capacity(r: int, cap: int, out_ports: list, bcast_src: list,
+                    port_src: list, labels: list, nbr: list, indptr: list) -> None:
+    """Raise if round ``r``'s outbox columns put more than ``cap`` messages
+    on one directed edge; a broadcast charges each port of its sender.
+
+    The common within-capacity round costs C-level set or ``Counter``
+    passes only; exact per-port loads are computed when that test fails.
+    """
+    if cap == 1:
+        if (len(set(out_ports)) == len(out_ports)
+                and len(set(bcast_src)) == len(bcast_src)
+                and (not out_ports or not bcast_src
+                     or set(map(labels.__getitem__, bcast_src)).isdisjoint(
+                         map(port_src.__getitem__, out_ports)))):
+            return
+    elif (max(Counter(out_ports).values(), default=0)
+          + max(Counter(bcast_src).values(), default=0)) <= cap:
+        return
+    loads = Counter(out_ports)
+    for src_i, count in Counter(bcast_src).items():
+        for port_id in range(indptr[src_i], indptr[src_i + 1]):
+            loads[port_id] += count
+    over = [port_id for port_id, count in loads.items() if count > cap]
+    if over:
+        port_id = min(over)
+        raise SimulationError(
+            f"edge capacity exceeded: {port_src[port_id]!r}->{labels[nbr[port_id]]!r} "
+            f"sent {loads[port_id]} messages in round {r} (capacity {cap})"
+        )
 
 
 #: ``next_wake`` marker for "no live wake scheduled".
@@ -255,59 +287,22 @@ class Context:
         port = self._ports.get(neighbor)
         if port is None:
             raise SimulationError(f"{self.node!r} tried to message non-neighbor {neighbor!r}")
-        port_id, _dst_index, _weight = port
         runner = self._runner
-        load = runner._edge_load
-        count = load[port_id] + 1
-        if count > runner.edge_capacity:
-            raise SimulationError(
-                f"edge capacity exceeded: {self.node!r}->{neighbor!r} sent "
-                f"{count} messages in one round "
-                f"(capacity {runner.edge_capacity})"
-            )
-        load[port_id] = count
-        if count == 1:
-            runner._touched.append(port_id)
-        runner._out_ports.append(port_id)
+        runner._out_ports.append(port[0])
         runner._out_payloads.append(payload)
 
     def broadcast(self, payload: object) -> None:
         """Send ``payload`` to every neighbor (one message per edge).
 
-        Fast path: the node's whole CSR port slice is metered in one batched
-        capacity check and the outbox records a single ``(src, payload)``
-        entry that the delivery phase expands — per-edge Python work is
-        avoided entirely in the common ``edge_capacity == 1`` case.
+        The outbox records a single ``(src, payload)`` entry that the
+        delivery phase expands over the node's CSR port slice — no
+        per-edge Python work at send time.
         """
-        lo, hi = self._lo, self._hi
-        if lo == hi:
+        if self._lo == self._hi:
             return
         runner = self._runner
-        load = runner._edge_load
-        if runner.edge_capacity == 1 and not any(load[lo:hi]):
-            load[lo:hi] = repeat(1, hi - lo)
-            runner._touched.extend(range(lo, hi))
-        else:
-            self._meter_ports(load, runner)
         runner._bcast_src.append(self._index)
         runner._bcast_payloads.append(payload)
-
-    def _meter_ports(self, load: list, runner: "Runner") -> None:
-        """Per-port capacity metering for broadcasts (capacity > 1 or reuse)."""
-        cap = runner.edge_capacity
-        touched = runner._touched
-        neighbors = self._neighbors
-        lo = self._lo
-        for port_id in range(lo, self._hi):
-            count = load[port_id] + 1
-            if count > cap:
-                raise SimulationError(
-                    f"edge capacity exceeded: {self.node!r}->{neighbors[port_id - lo]!r} "
-                    f"sent {count} messages in one round (capacity {cap})"
-                )
-            load[port_id] = count
-            if count == 1:
-                touched.append(port_id)
 
     def wake_at(self, round_number: int) -> None:
         """Sleep after this round and wake at the given absolute round."""
@@ -453,15 +448,15 @@ class Runner:
         else:
             self._restart_snapshots = None
         # Per-graph engine-state pool: recursive algorithms create runners
-        # by the thousand over the same frozen view, so contexts, inbox
-        # buffers and the port-load array are checked out of a single-slot
-        # pool on the IndexedGraph instead of rebuilt.  The slot is returned
-        # only by a clean run(); a second live runner over the same view (or
-        # a run that raised, leaving dirty state) simply builds fresh.
+        # by the thousand over the same frozen view, so contexts and inbox
+        # buffers are checked out of a single-slot pool on the IndexedGraph
+        # instead of rebuilt.  The slot is returned only by a clean run(); a
+        # second live runner over the same view (or a run that raised,
+        # leaving dirty state) simply builds fresh.
         pool = indexed._engine_pool
         if pool is not None:
             indexed._engine_pool = None
-            contexts, inboxes, edge_load = pool
+            contexts, inboxes = pool
             for ctx in contexts:
                 ctx._runner = self
                 ctx._halted = False
@@ -472,7 +467,6 @@ class Runner:
                     box.payloads.clear()
             self._contexts_by_index = contexts
             self._inboxes = inboxes
-            self._edge_load = edge_load
         else:
             self._build_state()
         self._algorithms_by_index = algorithms_by_index
@@ -482,10 +476,9 @@ class Runner:
         self._out_payloads: list[object] = []
         self._bcast_src: list[int] = []
         self._bcast_payloads: list[object] = []
-        self._touched: list[int] = []
 
     def _build_state(self) -> None:
-        """Fresh per-run engine state (contexts, inbox buffers, port loads)."""
+        """Fresh per-run engine state (contexts and inbox buffers)."""
         indexed = self.indexed
         views = indexed.node_views()
         self._contexts_by_index = [
@@ -493,7 +486,6 @@ class Runner:
             for i, label in enumerate(indexed.labels)
         ]
         self._inboxes = [Inbox() for _ in range(indexed.num_nodes)]
-        self._edge_load = [0] * len(indexed.nbr)
 
     # ------------------------------------------------------------------
     def run(self) -> Metrics:
@@ -530,10 +522,9 @@ class Runner:
         out_payloads = self._out_payloads
         bcast_src = self._bcast_src
         bcast_payloads = self._bcast_payloads
-        edge_load = self._edge_load
-        touched = self._touched
         metrics = self.metrics
         max_rounds = self.max_rounds
+        cap = self.edge_capacity
         sleeping = self.mode is Mode.SLEEPING
         # Bulk counter updates are only valid for a plain Metrics; subclasses
         # (TracingMetrics etc.) override the record_* hooks and get the
@@ -547,11 +538,11 @@ class Runner:
             trace_rounds = array("q")
         plane = self.faults
         # Batch-kernel dispatch: when every gate passes (numpy backend,
-        # plain Metrics, no fault plane, capacity 1, homogeneous roster
-        # that opts in, unit latency) the per-round node loop below is
-        # replaced by one kernel call over the whole awake set.  Delivery,
-        # scheduling and all metering stay on the exact scalar code path,
-        # which is what keeps kernel runs byte-identical (see
+        # plain Metrics, no fault plane, homogeneous roster that opts in,
+        # unit latency) the per-round node loop below is replaced by one
+        # kernel call over the whole awake set.  Delivery, scheduling, the
+        # capacity check and all metering stay on the exact scalar code
+        # path, which is what keeps kernel runs byte-identical (see
         # repro.sim.kernels).
         kernel = kernel_for(self) if delays is None else None
 
@@ -780,10 +771,9 @@ class Runner:
                 )
             if codes is not None:
                 # Kernel round: apply the returned wake codes with the
-                # same scheduling logic as the scalar loop below.  Kernel
-                # sends bypass the per-port capacity counters (the kernel
-                # contract caps it at one message per port per round), so
-                # the touched-list reset after delivery is a no-op.
+                # same scheduling logic as the scalar loop below.  The
+                # kernel's sends sit in the outbox columns, where the
+                # delivery phase checks their capacity like scalar sends.
                 for k, i in enumerate(awake):
                     if sleeping:
                         awake_stamp[i] = r
@@ -844,6 +834,9 @@ class Runner:
 
             # --- delivery -------------------------------------------------
             if out_ports or bcast_src:
+                if bcast_src or len(out_ports) > cap:
+                    _check_capacity(r, cap, out_ports, bcast_src, port_src,
+                                    labels, nbr, indptr)
                 sent = len(out_ports)
                 for src_i in bcast_src:
                     sent += indptr[src_i + 1] - indptr[src_i]
@@ -869,9 +862,6 @@ class Runner:
                 out_payloads.clear()
                 bcast_src.clear()
                 bcast_payloads.clear()
-                for port_id in touched:
-                    edge_load[port_id] = 0
-                touched.clear()
                 if len(port_log) >= _LOG_FOLD:
                     _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
                     port_log.clear()
@@ -929,5 +919,5 @@ class Runner:
             # the graph's lifetime.  Checkout re-points _runner anyway.
             for ctx in contexts:
                 ctx._runner = None
-            indexed._engine_pool = (contexts, inboxes, self._edge_load)
+            indexed._engine_pool = (contexts, inboxes)
         return stop_reason, final_time

@@ -429,7 +429,10 @@ def test_capacity_is_per_send_time():
         def on_round(self, ctx, inbox):
             ctx.idle()
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(
+        SimulationError,
+        match=r"^edge capacity exceeded: 0->1 sent 2 messages in round 0 \(capacity 1\)$",
+    ):
         EventRunner(g, {0: DoubleSend(), 1: Quiet()}, Mode.CONGEST).run()
     # capacity 2 admits both
     EventRunner(g, {0: DoubleSend(), 1: Quiet()}, Mode.CONGEST, edge_capacity=2).run()

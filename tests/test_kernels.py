@@ -15,9 +15,11 @@ import pytest
 from repro import graphs
 from repro.api import SweepSpec, run_sweep_spec
 from repro.core.bfs import WeightedBFS
-from repro.sim import Metrics, Mode, Runner
+from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, SimulationError
 from repro.sim import kernels
 from repro.sim.kernels import (
+    WAKE_HALT,
+    BatchKernel,
     available_backends,
     current_backend,
     default_backend,
@@ -32,14 +34,14 @@ def _graph(n=18, seed=3):
     return graphs.random_weights(g, 9, seed=seed)
 
 
-def _bfs_state(n=18, seed=3, backend="scalar"):
+def _bfs_state(n=18, seed=3, backend="scalar", **runner_kwargs):
     g = _graph(n, seed)
     algs = {u: WeightedBFS(u, 10 ** 6, source_offset=0 if u == 0 else None,
                            collect_parent=True)
             for u in g.nodes()}
     metrics = Metrics()
     with use_backend(backend):
-        Runner(g, algs, Mode.CONGEST, metrics=metrics).run()
+        Runner(g, algs, Mode.CONGEST, metrics=metrics, **runner_kwargs).run()
     return metrics.to_dict(), {u: (a.dist, a.parent) for u, a in algs.items()}
 
 
@@ -100,9 +102,40 @@ class TestKernelGates:
         with use_backend("numpy"):
             assert kernel_for(self._runner()) is not None
 
-    def test_edge_capacity_gate(self):
-        with use_backend("numpy"):
-            assert kernel_for(self._runner(edge_capacity=2)) is None
+    def test_edge_capacity_is_not_a_gate(self):
+        """A kernel runs at ``edge_capacity > 1`` and keeps backend parity."""
+        if kernels.numpy_or_none() is not None:
+            with use_backend("numpy"):
+                assert kernel_for(self._runner(edge_capacity=2)) is not None
+        assert (_bfs_state(backend="scalar", edge_capacity=2)
+                == _bfs_state(backend="numpy", edge_capacity=2))
+
+    def test_kernel_capacity_breach_raises(self):
+        """Kernel sends are checked against the edge capacity like scalar ones."""
+        if kernels.numpy_or_none() is None:
+            pytest.skip("no numpy: backend resolves to scalar")
+
+        class DoubleSend(BatchKernel):
+            def on_round_batch(self, r, awake, inboxes,
+                               out_ports, out_payloads, bcast_src, bcast_payloads):
+                out_ports.extend((0, 0))  # port 0 is the edge 0 -> 1
+                out_payloads.extend(("a", "b"))
+                return [WAKE_HALT] * len(awake)
+
+        class Stub(NodeAlgorithm):
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+            @classmethod
+            def batch_kernel(cls, runner):
+                return DoubleSend()
+
+        g = graphs.path_graph(2)
+        with use_backend("numpy"), pytest.raises(
+            SimulationError,
+            match=r"^edge capacity exceeded: 0->1 sent 2 messages in round 0 \(capacity 1\)$",
+        ):
+            Runner(g, {u: Stub() for u in g.nodes()}, Mode.CONGEST).run()
 
     def test_heterogeneous_roster_gate(self):
         g = graphs.path_graph(6)

@@ -5,7 +5,8 @@ schedules — run on random graphs through both :class:`repro.sim.Runner`
 (indexed, batched) and :class:`repro.sim.ReferenceRunner` (the original
 dict-of-objects implementation).  The two executions must agree on *every*
 metric: rounds, messages, lost messages, energy, congestion, and the full
-per-edge / per-node counters.
+per-edge / per-node counters.  A protocol that overruns an edge's capacity
+must fail on both, naming the same edge, round and capacity.
 
 Every execution runs twice per engine: on a plain accumulator from clock
 0, and on one that keeps a send trace with its clock started at 5.  The
@@ -20,6 +21,7 @@ makes no promise about mailbox ordering.
 """
 
 import random
+import re
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro import graphs
 from repro.graphs.indexed import IndexedGraph
 from repro.sim import (
     EventRunner, Metrics, Mode, NodeAlgorithm, ReferenceRunner, Runner, SendTrace,
+    SimulationError,
 )
 
 
@@ -418,3 +421,136 @@ def test_parity_with_non_integer_labels():
         g, lambda: {u: Gossip(index_of[u], 3) for u in g.nodes()}, Mode.CONGEST
     )
     assert_identical(new, ref)
+
+
+# ----------------------------------------------------------------------
+# capacity breaches: every engine names the same edge and round
+# ----------------------------------------------------------------------
+BREACH = re.compile(
+    r"^edge capacity exceeded: (.+)->(.+) sent (\d+) messages in round (\d+) "
+    r"\(capacity (\d+)\)$"
+)
+
+
+class Breacher(NodeAlgorithm):
+    """Seeded traffic within capacity plus one planned over-capacity burst.
+
+    Each step's sends come from an RNG keyed by (seed, node, round), never
+    from the inbox, so what a node sends in a round does not depend on
+    message timing.  Broadcasts, repeated unicasts on one port and their
+    mix keep every edge within ``cap``, except the planned breach ``(src,
+    dst, at)``: ``src`` sends one or two messages more than ``cap`` to
+    ``dst`` in round ``at``, and never naps past ``at`` before it.  A
+    ``src`` whose only neighbor is ``dst`` sends part of that burst as
+    broadcasts.
+    """
+
+    def __init__(self, node, seed, cap, breach, horizon=9):
+        self.node = node
+        self.seed = seed
+        self.cap = cap
+        self.breach = breach
+        self.horizon = horizon
+
+    def on_round(self, ctx, inbox):
+        r = ctx.round
+        if r >= self.horizon:
+            ctx.halt()
+            return
+        rng = random.Random(f"{self.seed}:{self.node}:{r}")
+        src, dst, at = self.breach or (None, None, None)
+        burst = self.node == src and r == at
+        # The burst round mostly breaches on top of broadcasts.
+        casts = rng.randint(1, self.cap) if rng.random() < (0.8 if burst else 0.4) else 0
+        for _ in range(casts):
+            ctx.broadcast(r)  # a degree-0 node's broadcast sends nothing
+        load = {}
+        for v in ctx.neighbors:
+            load[v] = casts + rng.randint(0, self.cap - casts)
+            for _ in range(load[v] - casts):
+                ctx.send(v, r)
+        if burst:
+            for _ in range(self.cap + 1 - load[dst] + rng.randint(0, 1)):
+                if len(load) == 1 and rng.random() < 0.5:
+                    ctx.broadcast(r)
+                else:
+                    ctx.send(dst, r)
+        if rng.random() < 0.3:
+            nap = r + 1 + rng.randrange(4)
+            if self.node == src and r < at:
+                nap = min(nap, at)
+            ctx.wake_at(nap)
+
+
+def breach_setup(seed):
+    """A seeded graph with isolated nodes, and a breach plan or ``None``."""
+    rng = random.Random(9000 + seed)
+    g = graphs.random_graph(rng.randrange(6, 16), p=0.3, seed=seed)
+    for k in range(rng.randrange(1, 3)):
+        g.add_node(f"iso{k}")
+    senders = [u for u in g.nodes() if g.degree(u)]
+    if seed % 4 == 3 or not senders:
+        return g, None
+    leaves = [u for u in senders if g.degree(u) == 1]
+    if seed % 2 and leaves:
+        senders = leaves
+    src = rng.choice(senders)
+    return g, (src, rng.choice(sorted(g.neighbors(src))), rng.randrange(7))
+
+
+def run_outcome(engine, g, make_algorithms, mode, **kwargs):
+    """``("raise", (src, dst, round, capacity), message)`` or ``("ok", metrics)``."""
+    try:
+        metrics = engine(g, make_algorithms(), mode, **kwargs).run()
+    except SimulationError as exc:
+        match = BREACH.match(str(exc))
+        assert match, str(exc)
+        src, dst, _count, r, cap = match.groups()
+        return "raise", (src, dst, int(r), int(cap)), str(exc)
+    return "ok", metrics
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
+@pytest.mark.parametrize("cap,width", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3)])
+def test_capacity_breach_parity(seed, mode, cap, width):
+    """Whenever the reference engine raises, the indexed and unit-latency
+    event engines raise on the same edge, round and capacity; otherwise
+    all three meter byte-identically."""
+    g, breach = breach_setup(seed)
+
+    def make():
+        return {u: Breacher(u, seed, cap, breach) for u in g.nodes()}
+
+    kwargs = dict(round_width=width, edge_capacity=cap)
+    ref = run_outcome(ReferenceRunner, g, make, mode, **kwargs)
+    for engine in (Runner, EventRunner):
+        got = run_outcome(engine, g, make, mode, **kwargs)
+        assert got[0] == ref[0]
+        if ref[0] == "raise":
+            assert got[1] == ref[1]
+        else:
+            assert_identical(got[1], ref[1])
+    assert ref[0] == ("ok" if breach is None else "raise")
+    if breach is not None:
+        src, dst, at = breach
+        assert ref[1] == (repr(src), repr(dst), at, cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
+@pytest.mark.parametrize("cap", [1, 2])
+def test_capacity_breach_under_latency(seed, mode, cap):
+    """Capacity is per send time: under ``uniform:3`` latency the event
+    engine raises the round engine's message verbatim."""
+    g, breach = breach_setup(seed)
+
+    def make():
+        return {u: Breacher(u, seed, cap, breach) for u in g.nodes()}
+
+    round_run = run_outcome(Runner, g, make, mode, edge_capacity=cap)
+    event_run = run_outcome(EventRunner, g, make, mode, edge_capacity=cap,
+                            latency="uniform:3")
+    assert event_run[0] == round_run[0] == ("ok" if breach is None else "raise")
+    if breach is not None:
+        assert event_run[2] == round_run[2]

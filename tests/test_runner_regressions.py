@@ -30,8 +30,35 @@ class TestViolations:
                 ctx.send(1, "b")
 
         g = two_nodes()
-        with pytest.raises(SimulationError, match="capacity"):
+        with pytest.raises(
+            SimulationError,
+            match=r"^edge capacity exceeded: 0->1 sent 2 messages in round 0 \(capacity 1\)$",
+        ):
             Runner(g, {0: Spam(), 1: Quiet()}, Mode.CONGEST).run()
+
+    def test_capacity_breach_names_lowest_port(self):
+        """With several edges over in one round, the error names the edge
+        with the lowest port id and its total for the round."""
+        class Spam(NodeAlgorithm):
+            def __init__(self, node):
+                self.node = node
+
+            def on_round(self, ctx, inbox):
+                if ctx.round < 3:
+                    ctx.wake_at(3)
+                    return
+                for v in reversed(ctx.neighbors):
+                    for _ in range(3):
+                        ctx.send(v, "x")
+                ctx.broadcast("y")
+                ctx.halt()
+
+        g = path_graph(3)  # port 0 is 0->1
+        with pytest.raises(
+            SimulationError,
+            match=r"^edge capacity exceeded: 0->1 sent 4 messages in round 3 \(capacity 2\)$",
+        ):
+            Runner(g, {u: Spam(u) for u in g.nodes()}, Mode.CONGEST, edge_capacity=2).run()
 
     def test_non_neighbor_send(self):
         class Bad(NodeAlgorithm):
