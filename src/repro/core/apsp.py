@@ -7,8 +7,8 @@ only randomness in the whole APSP algorithm is the delays.
 
 Reproduction strategy (DESIGN.md, decision 3): every SSSP instance is
 executed once on the simulator, recording its per-(edge, round) message
-trace in a plain :class:`~repro.sim.Metrics`'s opt-in ``send_trace``, so
-the engine's fast path and batch kernels stay on.  The trace is a
+trace in a plain :class:`~repro.sim.Metrics`'s opt-in ``send_trace``,
+which batch kernels fill like any other run.  The trace is a
 columnar :class:`~repro.sim.SendTrace`: each engine run adds one segment
 of port and round columns, and merges shift segments by a base clock
 instead of rewriting entries.  The ``n`` instances share one

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .metrics import Metrics
-
 try:  # The numpy backend is optional; everything degrades to scalar.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via force_scalar tests
@@ -165,21 +163,17 @@ def kernel_for(runner) -> BatchKernel | None:
     Centralizes every dispatch gate so both engines agree:
 
     * the active backend enables kernels (``scalar`` disables them);
-    * plain :class:`Metrics` only — subclasses take per-event hooks the
-      batch path does not emit.  A plain accumulator's opt-in
-      ``send_trace`` does not gate: the engine copies the outbox columns
-      every kernel round fills into the trace's port and round columns;
     * no fault plane (fault draws happen per delivered message; see
       :attr:`repro.sim.faults.FaultModel.batch_safe`);
     * a homogeneous algorithm roster whose class opts in via
       ``batch_kernel`` (which may itself return ``None``).
 
-    ``edge_capacity`` is not a gate: the engine checks a kernel round's
-    outbox columns against it exactly as it checks scalar sends.
+    Neither the metrics accumulator nor ``edge_capacity`` is a gate: the
+    engine meters every accumulator from the same columns (an opt-in
+    ``send_trace`` included) and checks a kernel round's outbox columns
+    against the capacity exactly as it checks scalar sends.
     """
     if current_backend() == "scalar":
-        return None
-    if type(runner.metrics) is not Metrics:
         return None
     plane = runner.faults
     if plane is not None and not getattr(plane, "batch_safe", False):

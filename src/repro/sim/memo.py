@@ -48,8 +48,6 @@ def memoized(memo: dict | None, metrics: Metrics, graph: Graph, params: tuple, c
     ``metrics``) when:
 
     * ``memo`` is ``None``;
-    * ``metrics`` is a :class:`Metrics` subclass — it sees every event
-      through its hooks, which a replay cannot reproduce;
     * the ambient engine has a ``max_time`` or ``message_budget`` — a
       replay cannot note the stop outcome in its ``EngineStats``;
     * the ambient engine has a fault plane — no test shows a replay
@@ -59,7 +57,7 @@ def memoized(memo: dict | None, metrics: Metrics, graph: Graph, params: tuple, c
     changes the execution) and whether the caller keeps a send trace, so
     a cost recorded without a trace never replays into a traced caller.
     """
-    if memo is None or type(metrics) is not Metrics:
+    if memo is None:
         return construct(metrics)
     config = current_engine()
     if config is not None and (

@@ -22,9 +22,12 @@ from itertools import compress
 
 __all__ = ["Metrics", "SendTrace"]
 
+#: The shared columns of a one-wake segment (:meth:`SendTrace.stamp_wake`).
+_ROUND_ZERO, _ONE = array("q", [0]), array("q", [1])
+
 
 class SendTrace:
-    """Per-(directed edge, round) send counts, kept as columns.
+    """Per-(directed edge, round) send counts and per-round wakes, as columns.
 
     The trace is a list of immutable *segments* ``(base, pairs, ports,
     rounds)``: send ``k`` of a segment went over the directed edge
@@ -35,18 +38,24 @@ class SendTrace:
     with their ``base`` shifted, sharing the columns by reference.  Once a
     segment is in :attr:`segments` nothing mutates it.
 
-    :meth:`stamp` records one send by label (the per-event path); stamps
-    collect in an open segment that is sealed into :attr:`segments` on
-    the next read.  :meth:`counts` materializes the classic
+    :attr:`wake_segments` ``(base, rounds, counts)`` follow the same
+    rules: ``counts[k]`` nodes were awake in round ``base + rounds[k]``.
+    An engine run adds one, with an entry per active round.
+
+    :meth:`stamp` records one send by label (the reference engine's
+    path); stamps collect in an open segment that is sealed into
+    :attr:`segments` on the next read.  :meth:`stamp_wake` adds a
+    one-wake segment.  :meth:`counts` materializes the classic
     ``Counter{((src, dst), round): messages}``.
     """
 
-    __slots__ = ("_segments", "_open")
+    __slots__ = ("_segments", "_open", "wake_segments")
 
     def __init__(self) -> None:
         self._segments: list[tuple] = []
         #: Unsealed stamps: ``({(src, dst): port}, pairs, ports, rounds)``.
         self._open: tuple | None = None
+        self.wake_segments: list[tuple] = []
 
     def stamp(self, src: object, dst: object, round_number: int) -> None:
         """Record one send on ``src -> dst`` in absolute round ``round_number``."""
@@ -61,6 +70,10 @@ class SendTrace:
         ports.append(port)
         rounds.append(round_number)
 
+    def stamp_wake(self, round_number: int) -> None:
+        """Record one node awake in absolute round ``round_number``."""
+        self.wake_segments.append((round_number, _ROUND_ZERO, _ONE))
+
     def add(self, base: int, pairs, ports: array, rounds: array) -> None:
         """Append one segment; the caller hands over ``ports``/``rounds``.
 
@@ -68,6 +81,11 @@ class SendTrace:
         """
         if ports:
             self._segments.append((base, pairs, ports, rounds))
+
+    def add_wakes(self, base: int, rounds: array, counts: array) -> None:
+        """Append one wake segment; the caller hands over the columns."""
+        if rounds:
+            self.wake_segments.append((base, rounds, counts))
 
     @property
     def segments(self) -> list[tuple]:
@@ -84,12 +102,23 @@ class SendTrace:
             [(base + shift, pairs, ports, rounds)
              for base, pairs, ports, rounds in other.segments]
         )
+        self.wake_segments.extend(
+            [(base + shift, rounds, counts) for base, rounds, counts in other.wake_segments]
+        )
 
     def counts(self) -> Counter:
         """``Counter{((src, dst), round): messages}`` over every segment."""
         out: Counter = Counter()
         for base, pairs, ports, rounds in self.segments:
             out.update(zip(map(pairs.__getitem__, ports), map(base.__add__, rounds)))
+        return out
+
+    def wakes(self) -> Counter:
+        """``Counter{round: awake nodes}`` over every wake segment."""
+        out: Counter = Counter()
+        for base, rounds, counts in self.wake_segments:
+            for r, count in zip(rounds, counts):
+                out[base + r] += count
         return out
 
     def rounds_on(self, edges) -> Counter:
@@ -131,13 +160,13 @@ class Metrics:
         self.messages_duplicated: int = 0
         self.nodes_crashed: int = 0
         self.recoveries: int = 0
-        # In-phase round of the currently executing runner; set by the
-        # per-event engine path so record_send can timestamp a send.
+        # In-phase round of the running ReferenceRunner, which sets it so
+        # record_send and record_awake can timestamp the trace.
         self.current_round: int = 0
         #: Opt-in send trace: ``None``, or a :class:`SendTrace` of the sends
-        #: that ``edge_messages`` counts, by ``(src, dst)`` and round.  The
-        #: round is absolute: rounds before the run plus the in-run round.
-        #: Never serialized; see DESIGN.md.
+        #: that ``edge_messages`` counts, by ``(src, dst)`` and round, and of
+        #: the awake nodes per round.  The round is absolute: rounds before
+        #: the run plus the in-run round.  Never serialized; see DESIGN.md.
         self.send_trace: SendTrace | None = None
 
     # ------------------------------------------------------------------
@@ -155,6 +184,8 @@ class Metrics:
     def record_awake(self, node: object, rounds: int = 1) -> None:
         """Credit ``rounds`` awake rounds to ``node``."""
         self.awake_rounds[node] += rounds
+        if self.send_trace is not None:
+            self.send_trace.stamp_wake(self.rounds + self.current_round)
 
     def record_rounds(self, rounds: int) -> None:
         """Extend the global round clock by ``rounds``."""
@@ -165,20 +196,6 @@ class Metrics:
         self.subproblem_participation[node] += 1
 
     # -- fault-plane events (called only by faulted engine paths) -------
-    def record_dropped(self, src: object, dst: object) -> None:
-        """One message destroyed by the fault plane at the link.
-
-        The send still happened — it counts toward message/congestion
-        totals like any other send — but it reaches nobody; the loss is
-        a *fault* loss (``messages_dropped``), distinct from the sleeping
-        model's ``lost_messages`` currency.
-        """
-        self.total_messages += 1
-        self.edge_messages[(src, dst)] += 1
-        self.messages_dropped += 1
-        if self.send_trace is not None:
-            self.send_trace.stamp(src, dst, self.rounds + self.current_round)
-
     def record_duplicated(self, src: object, dst: object) -> None:
         """One fault-injected duplicate delivery on ``src -> dst``.
 
@@ -260,9 +277,8 @@ class Metrics:
         self.subproblem_participation.update(other.subproblem_participation)
 
     def copy(self) -> "Metrics":
-        out = Metrics()
-        if self.send_trace is not None:
-            out.send_trace = SendTrace()
+        out = type(self)()
+        out.send_trace = None if self.send_trace is None else SendTrace()
         out.merge(self)
         out.current_round = self.current_round
         return out

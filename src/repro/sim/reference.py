@@ -7,7 +7,7 @@ order.  It is deliberately *not* optimized — its whole job is to define the
 model semantics so that differential tests can assert the fast indexed
 engine produces identical metrics (rounds, messages, lost messages, energy,
 congestion, and the opt-in send trace, stamped here one ``record_send``
-call at a time) on the same protocols.
+or ``record_awake`` call at a time) on the same protocols.
 
 Use it only in tests and debugging; everything else should go through
 :class:`repro.sim.Runner`.

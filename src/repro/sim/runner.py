@@ -67,12 +67,14 @@ inbox at the end of ``r`` and a CONGEST receiver is booked to wake at
 execution as delivering at ``r + 1``.  Under any other model the message
 is parked in a per-arrival-time slot (parallel port and payload lists)
 and moved into the inbox at its arrival time, before that time's wakes
-run.  Plain :class:`Metrics` are metered in bulk through deferred folds
-under every latency model and fault plane; metric subclasses get one
-``record_*`` hook call per event instead.  A plain accumulator's opt-in
-send trace is not folded at all: a traced run extends a port column and
-a round column per delivery round and hands both to the
-:class:`~repro.sim.metrics.SendTrace` as one segment when it ends.
+run.  Every accumulator, :class:`Metrics` subclasses included, is metered
+in bulk through deferred folds under every latency model and fault
+plane; the engine makes no ``record_send`` or ``record_awake`` call.
+An opt-in send trace is not folded at all: a traced run extends a port
+column and a round column per delivery round, and a round column and an
+awake-count column per active round, and hands them to the
+:class:`~repro.sim.metrics.SendTrace` as one send segment and one wake
+segment when it ends.
 
 The :class:`Inbox` handed to ``on_round`` is a *view* over the runner's
 reusable buffers: it iterates as ``(sender, payload)`` pairs exactly like
@@ -526,21 +528,20 @@ class Runner:
         max_rounds = self.max_rounds
         cap = self.edge_capacity
         sleeping = self.mode is Mode.SLEEPING
-        # Bulk counter updates are only valid for a plain Metrics; subclasses
-        # (TracingMetrics etc.) override the record_* hooks and get the
-        # per-event calls — same accumulated state either way.
-        fast = type(metrics) is Metrics
-        # The fast path keeps an opt-in send trace as two columns, port and
-        # in-run round per send, and hands them over as one segment.
-        trace = metrics.send_trace if fast else None
+        # An opt-in send trace is kept as columns: port and in-run round per
+        # send, in-run round and awake count per active round.  They are
+        # handed over as one send and one wake segment when the run ends.
+        trace = metrics.send_trace
         if trace is not None:
             trace_ports = array("q")
             trace_rounds = array("q")
+            wake_rounds = array("q")
+            wake_counts = array("q")
         plane = self.faults
-        # Batch-kernel dispatch: when every gate passes (numpy backend,
-        # plain Metrics, no fault plane, homogeneous roster that opts in,
-        # unit latency) the per-round node loop below is replaced by one
-        # kernel call over the whole awake set.  Delivery, scheduling, the
+        # Batch-kernel dispatch: when every gate passes (numpy backend, no
+        # fault plane, homogeneous roster that opts in, unit latency) the
+        # per-round node loop below is replaced by one kernel call over the
+        # whole awake set.  Delivery, scheduling, the
         # capacity check and all metering stay on the exact scalar code
         # path, which is what keeps kernel runs byte-identical (see
         # repro.sim.kernels).
@@ -591,9 +592,9 @@ class Runner:
         last_round = -1
         messages_sent = 0
         stop_reason = None
-        # Fast-path metric logs: per-round counter updates are deferred to
-        # batched folds (Counter.update and dict increments have per-call
-        # overhead that dominates sparse rounds).  The logs fold mid-run
+        # Metric logs: per-round counter updates are deferred to batched
+        # folds (Counter.update and dict increments have per-call overhead
+        # that dominates sparse rounds).  The logs fold mid-run
         # whenever they pass _LOG_FOLD entries, so memory stays bounded even
         # on Theta(mn)-message workloads.
         wake_log: list[int] = []
@@ -619,19 +620,14 @@ class Runner:
                 k = occ.get(port_id, 0)
                 occ[port_id] = k + 1
                 if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
-                    if fast:
-                        metrics.messages_dropped += 1
-                    else:
-                        metrics.record_dropped(src, dst)
+                    metrics.messages_dropped += 1
                     return
             halted = contexts[dst_i]._halted
             # A sleeping-model message reaches its target only if the target
             # was awake in the round it was sent (Sec 1.2); a CONGEST
             # message is never lost, and a halted node discards it silently.
             delivered = not sleeping or (awake_stamp[dst_i] == r and not halted)
-            if not fast:
-                metrics.record_send(src, labels[dst_i], delivered)
-            elif not delivered:
+            if not delivered:
                 metrics.lost_messages += 1
             if not delivered or halted:
                 return
@@ -756,12 +752,12 @@ class Runner:
                 raise SimulationError(f"exceeded max_rounds={max_rounds}")
             last_round = r
             awake.sort()
+            wake_log.extend(awake)
+            if trace is not None:
+                wake_rounds.append(r)
+                wake_counts.append(len(awake))
 
             # --- node steps (deterministic node-index order) ------------
-            if not fast:
-                # Only the per-event slow path (metric subclasses) reads the
-                # in-phase round stamp.
-                metrics.current_round = r
             nxt_round = r + 1
             codes = None
             if kernel is not None:
@@ -797,8 +793,7 @@ class Runner:
                         heappush(heap, s)
                     else:
                         slot_bucket.append(i)
-                wake_log.extend(awake)
-                awake = ()  # the shared metering tail below already ran
+                awake = ()  # the kernel stepped the whole round
             for i in awake:
                 if sleeping:
                     awake_stamp[i] = r
@@ -826,11 +821,6 @@ class Runner:
                     heappush(heap, s)
                 else:
                     slot_bucket.append(i)
-            if fast:
-                wake_log.extend(awake)
-            else:
-                for i in awake:
-                    metrics.record_awake(labels[i], self.round_width)
 
             # --- delivery -------------------------------------------------
             if out_ports or bcast_src:
@@ -840,15 +830,14 @@ class Runner:
                 sent = len(out_ports)
                 for src_i in bcast_src:
                     sent += indptr[src_i + 1] - indptr[src_i]
-                if fast:
-                    metrics.total_messages += sent
-                    port_log.extend(out_ports)
-                    bcast_log.extend(bcast_src)
-                    if trace is not None:
-                        trace_ports.extend(out_ports)
-                        for src_i in bcast_src:
-                            trace_ports.extend(range(indptr[src_i], indptr[src_i + 1]))
-                        trace_rounds.extend(repeat(r, sent))
+                metrics.total_messages += sent
+                port_log.extend(out_ports)
+                bcast_log.extend(bcast_src)
+                if trace is not None:
+                    trace_ports.extend(out_ports)
+                    for src_i in bcast_src:
+                        trace_ports.extend(range(indptr[src_i], indptr[src_i + 1]))
+                    trace_rounds.extend(repeat(r, sent))
                 nxt_bucket = buckets.get(nxt_round)
                 if plane is not None:
                     occ.clear()
@@ -895,20 +884,20 @@ class Runner:
             # Kernels that mirror instance state in their own columns write
             # it back here — drivers read results off the instances.
             kernel.finalize()
-        if fast:
-            # Final fold of the deferred logs (see _fold_* above): counting
-            # happens in C over plain integer columns, and label pairs are
-            # materialized once per *distinct* port/source, not per message.
-            if wake_log:
-                _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
-            if port_log:
-                _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
-            if bcast_log:
-                _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
-            if trace is not None:
-                # Before record_rounds below: metrics.rounds is still the
-                # clock this run started at.
-                trace.add(metrics.rounds, indexed.port_pairs(), trace_ports, trace_rounds)
+        # Final fold of the deferred logs (see _fold_* above): counting
+        # happens in C over plain integer columns, and label pairs are
+        # materialized once per *distinct* port/source, not per message.
+        if wake_log:
+            _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
+        if port_log:
+            _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
+        if bcast_log:
+            _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+        if trace is not None:
+            # Before record_rounds below: metrics.rounds is still the clock
+            # this run started at.
+            trace.add(metrics.rounds, indexed.port_pairs(), trace_ports, trace_rounds)
+            trace.add_wakes(metrics.rounds, wake_rounds, wake_counts)
         final_time = (last_round + 1) * self.round_width
         metrics.record_rounds(final_time)
         if indexed._engine_pool is None:

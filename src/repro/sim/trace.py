@@ -1,10 +1,14 @@
 """Execution tracing: per-round load profiles and awake timelines.
 
 :class:`TracingMetrics` is a drop-in :class:`~repro.sim.Metrics` that
-additionally records *when* things happened: messages per round, awake
-nodes per round, and per-edge time series.  Useful for debugging schedule
-bugs in sleeping-model protocols (e.g. "who was awake when this offer was
-sent?") and for the congestion-profile example.
+keeps a :class:`~repro.sim.SendTrace` and reads *when* things happened
+off it: messages per round, awake nodes per round, and per-edge time
+series.  Useful for debugging schedule bugs in sleeping-model protocols
+(e.g. "who was awake when this offer was sent?") and for the
+congestion-profile example.  The engines meter it exactly like a plain
+traced ``Metrics`` (batch kernels and the construction memo included), so
+``messages_by_round`` counts every send ``total_messages`` counts,
+fault-dropped ones too, and merges and copies keep both profiles.
 
 Costs: memory linear in (active rounds + messages); use on experiment-
 sized runs, not the biggest sweeps.
@@ -24,32 +28,29 @@ class TracingMetrics(Metrics):
 
     def __init__(self) -> None:
         super().__init__()
-        #: round -> number of messages sent in that round (phase-absolute).
-        self.messages_by_round: Counter = Counter()
-        #: round -> number of awake nodes.
-        self.awake_by_round: Counter = Counter()
-        #: Sends by (edge, round), for per-edge congestion timelines: the
-        #: base class stamps each send into it.
         self.send_trace = SendTrace()
 
-    def _now(self) -> int:
-        return self.rounds + self.current_round
+    @property
+    def messages_by_round(self) -> Counter:
+        """Round -> messages sent in that round (absolute rounds)."""
+        out: Counter = Counter()
+        for base, _pairs, _ports, rounds in self.send_trace.segments:
+            out.update(map(base.__add__, rounds))
+        return out
 
-    def record_send(self, src: object, dst: object, delivered: bool) -> None:
-        super().record_send(src, dst, delivered)
-        self.messages_by_round[self._now()] += 1
-
-    def record_awake(self, node: object, rounds: int = 1) -> None:
-        super().record_awake(node, rounds)
-        self.awake_by_round[self._now()] += 1
+    @property
+    def awake_by_round(self) -> Counter:
+        """Round -> number of awake nodes."""
+        return self.send_trace.wakes()
 
     # -- analysis helpers -------------------------------------------------
     def peak_round_load(self) -> tuple[int, int]:
         """``(round, messages)`` of the busiest round (0, 0 when silent)."""
-        if not self.messages_by_round:
+        load = self.messages_by_round
+        if not load:
             return (0, 0)
-        busiest = max(self.messages_by_round, key=lambda r: self.messages_by_round[r])
-        return busiest, self.messages_by_round[busiest]
+        busiest = max(load, key=load.__getitem__)
+        return busiest, load[busiest]
 
     def awake_fraction_profile(self, num_nodes: int, buckets: int = 10) -> list[float]:
         """Average awake fraction per time bucket across the execution.
@@ -60,9 +61,10 @@ class TracingMetrics(Metrics):
         buckets gives nine 2-round buckets and one 7-round tail bucket —
         rounds 18..24 all counted).
         """
-        if not self.awake_by_round or num_nodes == 0:
+        awake = self.awake_by_round
+        if not awake or num_nodes == 0:
             return [0.0] * buckets
-        horizon = max(self.awake_by_round) + 1
+        horizon = max(awake) + 1
         width = max(1, horizon // buckets)
         out = []
         for b in range(buckets):
@@ -71,7 +73,7 @@ class TracingMetrics(Metrics):
             if lo >= hi:
                 out.append(0.0)
                 continue
-            total = sum(self.awake_by_round.get(r, 0) for r in range(lo, hi))
+            total = sum(awake.get(r, 0) for r in range(lo, hi))
             out.append(total / ((hi - lo) * num_nodes))
         return out
 

@@ -272,6 +272,15 @@ def _serialized(distances, metrics) -> tuple:
     )
 
 
+def _tracing_snapshot(metrics: TracingMetrics) -> tuple:
+    return (
+        json.dumps(metrics.to_dict()),
+        metrics.messages_by_round,
+        metrics.awake_by_round,
+        metrics.send_trace.counts(),
+    )
+
+
 def _always_miss(monkeypatch):
     """Make every memo lookup miss: each key is a fresh object."""
     monkeypatch.setattr(construction_memo, "construction_key", lambda *_args: object())
@@ -356,16 +365,22 @@ class TestForestMemo:
         distinct = {construction_memo.construction_key(g) for g in requests}
         assert len(builds) == len(distinct) < len(requests)
 
-    def test_tracing_metrics_always_build(self, monkeypatch):
-        requests, builds = _count_forests(monkeypatch)
-
-        def no_key(*_args):
-            raise AssertionError("a Metrics subclass reached the memo")
-
-        monkeypatch.setattr(construction_memo, "construction_key", no_key)
+    def test_tracing_metrics_go_through_the_memo(self, monkeypatch):
+        """A TracingMetrics run replays stored forests, wake segments
+        included, and reads exactly like a run that builds every one."""
         build, sources = FOREST_CASES["er-seed0"]
-        cssp(build(), sources, metrics=TracingMetrics())
-        assert len(builds) == len(requests) > 1
+        runs = []
+        for miss in (False, True):
+            with monkeypatch.context() as patch:
+                requests, builds = _count_forests(patch)
+                if miss:
+                    _always_miss(patch)
+                metrics = TracingMetrics()
+                cssp(build(), sources, metrics=metrics)
+            runs.append((len(requests), len(builds), _tracing_snapshot(metrics)))
+        (requests, builds, memo_run), (_requests, fresh_builds, fresh_run) = runs
+        assert builds < requests == fresh_builds
+        assert memo_run == fresh_run
 
     def test_event_engine_stopping_conditions_bypass_the_memo(self, monkeypatch):
         def no_key(*_args):

@@ -18,7 +18,7 @@ from repro.energy import (
     low_energy_bfs_from_scratch,
 )
 from repro.graphs import Graph, INFINITY
-from repro.sim import Metrics, memo as construction_memo
+from repro.sim import Metrics, TracingMetrics, memo as construction_memo
 
 
 class TestFromScratchBFS:
@@ -234,45 +234,28 @@ class TestCoverMemo:
             build_sparse_cover(graph, d, stretch=stretch, metrics=Metrics(), memo=memo)
             assert len(builds) == count and len(memo) == count
 
-    def test_metrics_subclass_bypasses_the_memo(self, monkeypatch):
-        class CountingMetrics(Metrics):
-            def __init__(self):
-                super().__init__()
-                self.sends = 0
-
-            def record_send(self, src, dst, delivered):
-                self.sends += 1
-                super().record_send(src, dst, delivered)
-
-        build, sources, _digest = GOLDEN_CASES["path"]
-        _dist, plain = _run_serialized(build, sources)
-        with monkeypatch.context() as patch:
-            requests = _count_decompositions(patch)
-            _always_miss(patch)
-            _run_serialized(build, sources)
-
-        def no_key(*_args):
-            raise AssertionError("a Metrics subclass reached the memo")
-
-        sends_per_construction = []
-        real = covers._construct_sparse_cover
-
-        def tracked(graph, d, stretch, metrics):
-            before = metrics.sends
-            cover = real(graph, d, stretch, metrics)
-            sends_per_construction.append(metrics.sends - before)
-            return cover
-
-        monkeypatch.setattr(construction_memo, "construction_key", no_key)
-        monkeypatch.setattr(covers, "_construct_sparse_cover", tracked)
-        counting = CountingMetrics()
-        energy_cssp(build(), sources, metrics=counting)
-        assert len(sends_per_construction) == len(requests)
-        assert sum(sends_per_construction) > 0
-        # Same charged cost; only the per-event path stamps current_round.
-        subclass_row = counting.to_dict()
-        subclass_row["current_round"] = 0
-        assert json.dumps(subclass_row) == plain
+    def test_tracing_metrics_go_through_the_memo(self, monkeypatch):
+        """A TracingMetrics run replays stored covers, wake segments
+        included, and reads exactly like a run that builds every one."""
+        build, sources, _digest = GOLDEN_CASES["er-seed0"]
+        runs = []
+        for miss in (False, True):
+            with monkeypatch.context() as patch:
+                builds = _count_decompositions(patch)
+                if miss:
+                    _always_miss(patch)
+                metrics = TracingMetrics()
+                energy_cssp(build(), sources, metrics=metrics)
+            runs.append((len(builds), (
+                json.dumps(metrics.to_dict()),
+                metrics.messages_by_round,
+                metrics.awake_by_round,
+                metrics.send_trace.counts(),
+            )))
+        (builds, memo_run), (requests, fresh_run) = runs
+        assert builds < requests
+        assert memo_run == fresh_run
+        assert memo_run[0] == _run_serialized(build, sources)[1]
 
     def test_no_cover_outlives_the_call(self, monkeypatch):
         refs = []

@@ -4,11 +4,12 @@ Covers the latency-model grammar and determinism, the engine-selection
 context, EventRunner's unit-latency parity with the synchronous Runner on
 synthetic protocols (CONGEST, sleeping, megarounds, capacity > 1), its
 asynchronous behaviors (delay stretching, wake-on-message under latency,
-per-edge tables), the stopping conditions, and the agreement of the bulk
-and per-message metering paths off unit latency.
+per-edge tables), the stopping conditions, and the metering off unit
+latency against the protocol's own send and wake log.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -278,8 +279,8 @@ def test_megaround_parity(seed):
 
 
 def test_tracing_metrics_parity():
-    # The slow path (metric subclasses) must agree too — current_round
-    # stamping and per-event record_* calls included.
+    # TracingMetrics' profiles, read off the trace's send and wake
+    # segments, must agree too.
     g = graphs.random_connected_graph(12, extra_edge_prob=0.2, seed=3)
     out = []
     for engine in (Runner, EventRunner):
@@ -539,50 +540,58 @@ def test_sleeping_send_at_max_time_is_past_the_horizon(latency):
 # metering paths
 # ----------------------------------------------------------------------
 class Chatter(NodeAlgorithm):
-    """Seeded unicasts and broadcasts on staggered schedules (both modes)."""
+    """Seeded unicasts and broadcasts on staggered schedules (both modes).
 
-    def __init__(self, node, seed, horizon=12):
+    Each step appends ``(node, round)`` to ``wakes`` and each send
+    ``((src, dst), round)`` to ``sends``, a broadcast once per neighbor.
+    """
+
+    def __init__(self, node, seed, sends, wakes, horizon=12):
         self.rng = random.Random(seed * 7919 + node)
         self.horizon = horizon
-        self.heard = 0
+        self.sends = sends
+        self.wakes = wakes
 
     def on_round(self, ctx, inbox):
-        self.heard += len(inbox)
+        self.wakes.append((ctx.node, ctx.round))
         if ctx.round >= self.horizon:
             ctx.halt()
             return
         if self.rng.random() < 0.4:
             ctx.broadcast(ctx.round)
+            self.sends.extend(((ctx.node, v), ctx.round) for v in ctx.neighbors)
         else:
             for v in ctx.neighbors:
                 if self.rng.random() < 0.5:
                     ctx.send(v, ctx.round)
+                    self.sends.append(((ctx.node, v), ctx.round))
         ctx.sleep_for(1 + self.rng.randrange(3))
 
 
 @pytest.mark.parametrize("latency", ["uniform:3", "random:4"])
 @pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
 @pytest.mark.parametrize("faults", [None, "drop:0.1+dup:0.05"])
-def test_fast_and_hook_metering_agree_under_latency(latency, mode, faults):
-    # A plain Metrics takes the deferred bulk folds, a subclass the
-    # per-message record_* hooks; off unit latency and under a fault plane
-    # the two must still accumulate the same state.
+def test_metering_matches_the_protocol_ledger_under_latency(latency, mode, faults):
+    # Off unit latency and under a fault plane, every metered send and
+    # wake is one the protocol logged itself.  Fault-dropped and lost
+    # sends still count; duplicates do not.
     g = graphs.random_connected_graph(14, extra_edge_prob=0.25, seed=5)
-    out = []
-    for metrics in (Metrics(), TracingMetrics()):
-        EventRunner(
-            g, {u: Chatter(u, 5) for u in g.nodes()}, mode, metrics=metrics,
-            latency=parse_latency_model(latency, seed=5),
-            faults=parse_fault_model(faults, seed=5),
-        ).run()
-        payload = metrics.to_dict()
-        del payload["current_round"]  # stamped on the hook path only
-        out.append(payload)
-    fast, hooked = out
-    assert fast == hooked
-    assert fast["total_messages"] > 0
+    sends, wakes = [], []
+    metrics = TracingMetrics()
+    EventRunner(
+        g, {u: Chatter(u, 5, sends, wakes) for u in g.nodes()}, mode, metrics=metrics,
+        latency=parse_latency_model(latency, seed=5),
+        faults=parse_fault_model(faults, seed=5),
+    ).run()
+    assert metrics.total_messages == len(sends) > 0
+    assert metrics.edge_messages == Counter(edge for edge, _t in sends)
+    assert metrics.awake_rounds == Counter(node for node, _t in wakes)
+    assert metrics.send_trace.counts() == Counter(sends)
+    assert metrics.send_trace.wakes() == metrics.awake_by_round == Counter(
+        t for _node, t in wakes
+    )
     if mode is Mode.SLEEPING:
-        assert fast["lost_messages"] > 0
+        assert metrics.lost_messages > 0
     if faults is not None:
-        assert fast["faults"]["messages_dropped"] > 0
-        assert fast["faults"]["messages_duplicated"] > 0
+        assert metrics.messages_dropped > 0
+        assert metrics.messages_duplicated > 0

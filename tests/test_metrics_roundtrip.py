@@ -110,13 +110,17 @@ class TestCopy:
         m = random_metrics(random.Random(3000 + trial))
         assert m.copy().to_dict() == m.to_dict()
 
-    def test_copy_of_a_tracing_run_keeps_its_current_round(self):
+    def test_copy_of_a_tracing_run_keeps_its_profiles(self):
         from repro import graphs
         from repro.core.cssp import cssp
         from repro.sim import TracingMetrics
 
         t = TracingMetrics()
         cssp(graphs.make_family("er", 12, max_weight=5, seed=3), {0: 0}, metrics=t)
-        assert t.current_round > 0
-        assert t.copy().current_round == t.current_round
-        assert t.copy().to_dict() == t.to_dict()
+        copied = t.copy()
+        assert type(copied) is TracingMetrics
+        assert copied.to_dict() == t.to_dict()
+        assert copied.messages_by_round == t.messages_by_round
+        assert copied.awake_by_round == t.awake_by_round
+        assert copied.send_trace.counts() == t.send_trace.counts()
+        assert sum(copied.messages_by_round.values()) == t.total_messages > 0

@@ -114,7 +114,9 @@ class TestTracingMetrics:
         # land in NO bucket and activity there silently vanished from the
         # profile.  The last bucket must extend to the horizon.
         t = TracingMetrics()
-        t.awake_by_round[24] = 3  # all the activity in the dropped tail
+        t.current_round = 24  # all the activity in the dropped tail
+        for node in range(3):
+            t.record_awake(node)
         profile = t.awake_fraction_profile(num_nodes=3, buckets=10)
         assert len(profile) == 10
         # Last bucket covers rounds 18..24 (7 rounds): 3 awake / (7 * 3).
@@ -128,7 +130,9 @@ class TestTracingMetrics:
         for horizon, buckets in ((25, 10), (20, 10), (7, 10), (30, 4)):
             t = TracingMetrics()
             for r in range(horizon):
-                t.awake_by_round[r] = 1 + (r % 3)
+                t.current_round = r
+                for node in range(1 + (r % 3)):
+                    t.record_awake(node)
             profile = t.awake_fraction_profile(num_nodes=5, buckets=buckets)
             width = max(1, horizon // buckets)
             total = 0.0

@@ -10,9 +10,10 @@ must fail on both, naming the same edge, round and capacity.
 
 Every execution runs twice per engine: on a plain accumulator from clock
 0, and on one that keeps a send trace with its clock started at 5.  The
-indexed Runner folds the trace from its outbox columns, the reference
-engine stamps it one ``record_send`` call at a time, and the two must agree
-send for send, the absolute-round offset included.
+indexed Runner folds the trace from its outbox columns and its awake
+counts, the reference engine stamps it one ``record_send`` or
+``record_awake`` call at a time, and the two must agree send for send and
+wake for wake, the absolute-round offset included.
 
 The protocols are deliberately order-insensitive (they aggregate their
 inbox, never index into it), because the engines step awake nodes in
@@ -128,6 +129,9 @@ def assert_identical(new: Metrics, ref: Metrics) -> None:
         assert trace == ref.send_trace.counts()
         assert sum(trace.values()) == new.total_messages
         assert min((t for _edge, t in trace), default=5) >= 5  # the clock
+        wakes = new.send_trace.wakes()
+        assert wakes == ref.send_trace.wakes()
+        assert min(wakes, default=5) >= 5 and sum(wakes.values()) > 0
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,13 +1,13 @@
-"""The opt-in send trace on plain Metrics.
+"""The opt-in send trace, and the TracingMetrics profiles read off it.
 
-The round engine hands the trace its outbox columns as one segment per
-run (batch kernels included); the per-event path stamps it one
-``record_send`` call at a time.  Every read goes through ``counts()``.
-These tests pin the two together on the library's own SSSP, pin the merge
-rule against a naive ``Counter`` model, and pin APSP's per-source traces
-and schedule to digests taken before the trace moved into the engine.
-``tests/test_runner_differential.py`` checks the engine's columns against
-the reference engine on synthetic protocols.
+The engines hand the trace their outbox columns as one send segment per
+run and their awake counts as one wake segment (batch kernels included).
+These tests pin TracingMetrics' profiles through merges, copies and the
+fault plane, pin the merge rule against a naive ``Counter`` model built
+from the protocol's own send and wake log, and pin APSP's per-source
+traces and schedule to digests taken before the trace moved into the
+engine.  ``tests/test_runner_differential.py`` checks the engine's
+columns against the reference engine on synthetic protocols.
 """
 
 import hashlib
@@ -35,25 +35,33 @@ def traced() -> Metrics:
     return metrics
 
 
+def per_round(trace: SendTrace) -> Counter:
+    """The trace's send counts summed over edges, by round."""
+    out: Counter = Counter()
+    for (_edge, t), count in trace.counts().items():
+        out[t] += count
+    return out
+
+
 class TestTracingMetricsAgreesWithTheFold:
     @pytest.mark.parametrize("engine", ["round", "event"])
     def test_tracing_metrics_send_trace_equals_a_plain_runs(self, engine):
-        """sssp/er: TracingMetrics takes the per-event path and builds every
-        forest; the plain run takes the fast path, kernels and the memo."""
+        """sssp/er: a TracingMetrics run and a plain traced run take the
+        same folds, kernels and memo, and charge the same cost; the
+        profiles are the plain trace summed by round."""
         graph = graphs.make_family("er", 32, 9, seed=0)
         runs = []
         for metrics in (TracingMetrics(), traced()):
             with simulation_engine(engine):
                 distances, _ = cssp(graph, [0], metrics=metrics)
             runs.append((distances, metrics))
-        (slow_dist, slow), (fast_dist, fast) = runs
-        assert slow_dist == fast_dist == graph.dijkstra([0])
-        assert slow.send_trace.counts() == fast.send_trace.counts()
-        assert sum(fast.send_trace.counts().values()) == fast.total_messages
-        # Same charged cost; only the per-event path stamps current_round.
-        slow_row = slow.to_dict()
-        slow_row["current_round"] = 0
-        assert json.dumps(slow_row) == json.dumps(fast.to_dict())
+        (tracing_dist, tracing), (plain_dist, plain) = runs
+        assert tracing_dist == plain_dist == graph.dijkstra([0])
+        assert tracing.send_trace.counts() == plain.send_trace.counts()
+        assert sum(plain.send_trace.counts().values()) == plain.total_messages
+        assert tracing.messages_by_round == per_round(plain.send_trace)
+        assert tracing.awake_by_round == plain.send_trace.wakes()
+        assert json.dumps(tracing.to_dict()) == json.dumps(plain.to_dict())
 
 
 class Flood(NodeAlgorithm):
@@ -66,19 +74,55 @@ class Flood(NodeAlgorithm):
         ctx.broadcast(ctx.round)
 
 
-def test_fault_dropped_sends_are_traced_on_both_paths():
+def flood(metrics, faults=None):
+    """Flood on a fixed 20-node graph into ``metrics``; returns the graph."""
     graph = graphs.random_connected_graph(20, extra_edge_prob=0.2, seed=3)
+    algorithms = {u: Flood() for u in graph.nodes()}
+    Runner(graph, algorithms, Mode.CONGEST, metrics=metrics, faults=faults).run()
+    return graph
+
+
+def test_fault_dropped_sends_are_traced_on_both_paths():
+    """A TracingMetrics and a plain traced Metrics, the two ways to ask
+    for a trace, both keep every send the fault plane drops."""
     runs = []
     for metrics in (TracingMetrics(), traced()):
         metrics.record_rounds(3)
-        algorithms = {u: Flood() for u in graph.nodes()}
-        Runner(graph, algorithms, Mode.CONGEST, metrics=metrics, faults="drop:0.3").run()
+        flood(metrics, faults="drop:0.3")
         runs.append(metrics)
-    slow, fast = runs
-    assert fast.messages_dropped > 0
-    assert slow.send_trace.counts() == fast.send_trace.counts()
+    tracing, plain = runs
+    assert plain.messages_dropped == tracing.messages_dropped > 0
+    assert tracing.send_trace.counts() == plain.send_trace.counts()
     # The trace covers every send edge_messages counts, dropped ones too.
-    assert sum(fast.send_trace.counts().values()) == fast.total_messages
+    assert sum(plain.send_trace.counts().values()) == plain.total_messages
+    assert tracing.messages_by_round == per_round(plain.send_trace)
+
+
+class TestTracingMetricsProfiles:
+    """Flood's own schedule is the oracle: every node broadcasts in rounds
+    0..5 and halts in round 6, whatever the fault plane drops."""
+
+    def test_merge_keeps_both_profiles(self):
+        first, second = TracingMetrics(), TracingMetrics()
+        graph = flood(first)
+        flood(second)
+        first.merge(second)
+        sends = 2 * graph.num_edges
+        assert first.total_messages == 12 * sends == 1128
+        assert first.messages_by_round == Counter(
+            {r + shift: sends for r in range(6) for shift in (0, 7)}
+        )
+        assert first.awake_by_round == Counter({r: 20 for r in range(14)})
+        assert sum(first.awake_rounds.values()) == 280
+
+    def test_fault_dropped_sends_are_in_the_profile(self):
+        metrics = TracingMetrics()
+        metrics.record_rounds(3)
+        graph = flood(metrics, faults="drop:0.3")
+        assert metrics.messages_dropped > 0
+        sends = 2 * graph.num_edges
+        assert metrics.messages_by_round == Counter({r + 3: sends for r in range(6)})
+        assert sum(metrics.send_trace.counts().values()) == metrics.total_messages == 564
 
 
 class TestMerge:
@@ -144,61 +188,60 @@ class Chatter(NodeAlgorithm):
     """Seeded broadcasts and bursts of unicasts, then naps; halts at a horizon.
 
     What a node sends depends only on its own seed and round, so every
-    engine and metering path sees the same sends for the same schedule.
+    engine sees the same sends for the same schedule.  Each step appends
+    ``("wake", round)`` to ``log`` and each send ``((src, dst), round)``,
+    a broadcast once per neighbor.
     """
 
-    def __init__(self, node, seed: int, burst: int, horizon: int) -> None:
+    def __init__(self, node, seed: int, burst: int, horizon: int, log: list) -> None:
         self.rng = random.Random(seed * 7919 + node)
         self.burst = burst
         self.horizon = horizon
+        self.log = log
 
     def on_round(self, ctx, inbox):
+        log = self.log
+        log.append(("wake", ctx.round))
         if ctx.round >= self.horizon:
             ctx.halt()
             return
         rng = self.rng
         if rng.random() < 0.4:
             ctx.broadcast(ctx.round)
+            log.extend(((ctx.node, v), ctx.round) for v in ctx.neighbors)
             unicasts = self.burst - 1
         else:
             unicasts = self.burst
         for v in ctx.neighbors:
             for _ in range(rng.randrange(unicasts + 1)):
                 ctx.send(v, ctx.round)
+                log.append(((ctx.node, v), ctx.round))
         ctx.wake_at(ctx.round + 1 + rng.randrange(3))
 
 
-class Stamps(Metrics):
-    """The naive model of one run: one Counter stamp per send.
+class Model:
+    """A naive accumulator: a clock and two Counters, shifted entry by entry.
 
-    A subclass, so the engines call its hooks once per send; it keeps no
-    ``send_trace`` of its own.
+    ``stamps`` counts sends by ``((src, dst), round)``, ``wakes`` awake
+    nodes by round.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.stamps: Counter = Counter()
-
-    def record_send(self, src, dst, delivered):
-        super().record_send(src, dst, delivered)
-        self.stamps[((src, dst), self.rounds + self.current_round)] += 1
-
-
-class Model:
-    """A naive accumulator: a clock and a Counter, shifted entry by entry."""
-
-    def __init__(self, clock: int = 0, stamps: Counter | None = None) -> None:
+    def __init__(self, clock: int = 0, stamps: Counter | None = None,
+                 wakes: Counter | None = None) -> None:
         self.clock = clock
         self.stamps = Counter() if stamps is None else stamps
+        self.wakes = Counter() if wakes is None else wakes
 
     def merge(self, other: "Model", sequential: bool) -> None:
         shift = self.clock if sequential else 0
         for (edge, t), count in other.stamps.items():
             self.stamps[(edge, t + shift)] += count
+        for t, count in other.wakes.items():
+            self.wakes[t + shift] += count
         self.clock = self.clock + other.clock if sequential else max(self.clock, other.clock)
 
     def copy(self) -> "Model":
-        return Model(self.clock, Counter(self.stamps))
+        return Model(self.clock, Counter(self.stamps), Counter(self.wakes))
 
 
 def random_execution(rng: random.Random):
@@ -213,8 +256,9 @@ def random_execution(rng: random.Random):
     mode = rng.choice([Mode.CONGEST, Mode.SLEEPING])
     engine = rng.choice(["round", "event", "event-delayed"])
 
-    def run(metrics):
-        algorithms = {u: Chatter(u, seed, burst, horizon) for u in graph.nodes()}
+    def run(metrics, log=None):
+        log = [] if log is None else log
+        algorithms = {u: Chatter(u, seed, burst, horizon, log) for u in graph.nodes()}
         kwargs = dict(metrics=metrics, round_width=width, edge_capacity=burst)
         if engine == "round":
             Runner(graph, algorithms, mode, **kwargs).run()
@@ -226,19 +270,29 @@ def random_execution(rng: random.Random):
     return graph, (seed, burst, width, horizon, mode, engine), run
 
 
-def modelled(run) -> Model:
-    """What ``run`` costs by the naive model, on its own clock from 0."""
-    stamps = Stamps()
-    run(stamps)
-    return Model(stamps.rounds, stamps.stamps)
+def modelled(run, width: int) -> Model:
+    """What ``run`` costs by the naive model, from the protocol's own log.
+
+    The clock is one past the last round any node stepped, in real rounds.
+    """
+    log: list = []
+    run(Metrics(), log)
+    wakes = Counter(t for kind, t in log if kind == "wake")
+    stamps = Counter(entry for entry in log if entry[0] != "wake")
+    return Model((max(wakes) + 1) * width if wakes else 0, stamps, wakes)
 
 
 def column_snapshot(trace: SendTrace) -> dict:
     """Every segment's columns by identity, with their contents."""
-    return {
+    snapshot = {
         id(ports): (ports, rounds, pairs, ports.tobytes(), rounds.tobytes(), tuple(pairs))
         for _base, pairs, ports, rounds in trace.segments
     }
+    snapshot.update(
+        (id(counts), (counts, rounds, (), counts.tobytes(), rounds.tobytes(), ()))
+        for _base, rounds, counts in trace.wake_segments
+    )
+    return snapshot
 
 
 class TestTraceAlgebraAgainstANaiveModel:
@@ -262,16 +316,17 @@ class TestTraceAlgebraAgainstANaiveModel:
             index = rng.randrange(len(pool))
             real, model = pool[index]
             if op == "run":
-                graph, _params, run = rng.choice(executions)
-                delta = modelled(run)
+                graph, params, run = rng.choice(executions)
+                delta = modelled(run, params[2])
                 run(real)
                 model.merge(delta, sequential=True)
             elif op == "replay":
                 graph, params, run = rng.choice(executions[:2])
-                delta = modelled(run)
+                delta = modelled(run, params[2])
                 before = len(real.send_trace.segments)
+                wakes_before = len(real.send_trace.wake_segments)
                 key = (construction_key(graph, *params), None, True)
-                hit = key in memo and type(real) is Metrics
+                hit = key in memo
                 assert memoized(memo, real, graph, params, run) == params[0]
                 model.merge(delta, sequential=True)
                 if hit:
@@ -285,6 +340,11 @@ class TestTraceAlgebraAgainstANaiveModel:
                         added, stored
                     ):
                         assert pairs is spairs and ports is sports and rounds is srounds
+                    added = real.send_trace.wake_segments[wakes_before:]
+                    stored = cost.send_trace.wake_segments
+                    assert len(added) == len(stored) > 0
+                    for (_b, rounds, counts), (_sb, srounds, scounts) in zip(added, stored):
+                        assert rounds is srounds and counts is scounts
             elif op == "merge":
                 other = rng.choice([k for k in range(len(pool)) if k != index])
                 sequential = rng.random() < 0.6
@@ -297,7 +357,11 @@ class TestTraceAlgebraAgainstANaiveModel:
             for real, model in pool:
                 assert real.rounds == model.clock
                 assert real.send_trace.counts() == model.stamps
+                assert real.send_trace.wakes() == model.wakes
                 assert sum(model.stamps.values()) == real.total_messages
+                if isinstance(real, TracingMetrics):
+                    assert real.awake_by_round == model.wakes
+                    assert sum(real.messages_by_round.values()) == real.total_messages
                 seen.update(column_snapshot(real.send_trace))
         assert hits  # the program replayed a stored cost at least once
         # No run, merge, copy or replay rewrote a segment once it was read.
