@@ -34,14 +34,12 @@ Commands
     Compile recorded experiment tables into one Markdown document.
 ``lint``
     Static determinism/contract analysis (see :mod:`repro.lint`):
-    ``repro lint src/repro`` checks paths (per-file rules plus the
-    whole-program flow pass; ``--no-flow`` skips the latter),
+    ``repro lint src/repro`` checks paths file by file,
     ``--plugins`` resolves the algorithm registry (entry points +
     ``REPRO_PLUGINS``) and lints the driver/oracle source behind it,
     ``--select/--ignore`` filter rules, ``--list-rules`` prints the
-    catalog, ``--output sarif`` emits SARIF 2.1.0, ``--json`` adds the
-    flow-model counts (functions, call edges, unresolved edges).  Exit 0
-    clean, 1 findings, 2 usage.
+    catalog, ``--output sarif`` emits SARIF 2.1.0, ``--json`` prints the
+    checked files and findings.  Exit 0 clean, 1 findings, 2 usage.
 
 ``sweep``, ``bench``, and ``report`` accept ``--spec FILE`` (a JSON spec
 artifact, see ``EXPERIMENTS.md``); every subcommand accepts ``--json``
@@ -462,25 +460,20 @@ def _cmd_lint(args, parser) -> int:
     if not args.paths and not args.plugins:
         parser.error("lint needs at least one path (or --plugins / --list-rules)")
 
-    flow = not args.no_flow
     findings = []
     checked: list[str] = []
-    stats: dict = {}
     if args.paths:
         try:
             path_findings, path_checked = lint_paths(
                 args.paths, select=args.select, ignore=args.ignore,
-                flow=flow, stats=stats,
             )
         except FileNotFoundError as exc:
             parser.error(str(exc))
         findings.extend(path_findings)
         checked.extend(path_checked)
     if args.plugins:
-        plugin_stats: dict = {}
         plugin_findings, plugin_checked = lint_plugins(
-            select=args.select, ignore=args.ignore, flow=flow,
-            stats=plugin_stats,
+            select=args.select, ignore=args.ignore,
         )
         # Paths already linted above stay deduplicated: a built-in driver
         # under a linted directory should not report twice.
@@ -489,8 +482,6 @@ def _cmd_lint(args, parser) -> int:
             if finding.path not in seen_paths:
                 findings.append(finding)
         checked.extend(plugin_checked)
-        if plugin_stats.get("flow") and not stats.get("flow"):
-            stats["flow"] = plugin_stats["flow"]
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     if output == "json":
@@ -498,7 +489,6 @@ def _cmd_lint(args, parser) -> int:
             "version": 1,
             "files_checked": checked,
             "findings": [finding.to_dict() for finding in findings],
-            "flow": stats.get("flow"),
         }, indent=2))
         return 1 if findings else 0
     if output == "sarif":
@@ -613,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--plugins", action="store_true",
                       help="resolve the algorithm registry (entry points + "
                       "REPRO_PLUGINS) and lint the driver/oracle source behind it")
-    lint.add_argument("--no-flow", action="store_true",
-                      help="skip the whole-program flow analysis (F rules); "
-                      "per-file rules still run")
     lint.add_argument("--output", choices=("text", "json", "sarif"),
                       help="output format (default text; sarif emits a "
                       "SARIF 2.1.0 log for code-scanning upload)")

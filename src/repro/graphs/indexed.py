@@ -6,14 +6,17 @@ imaginary nodes.  That flexibility costs the simulator dearly: dict-of-dict
 adjacency, per-message dict lookups, and ``repr``-keyed sorting in the hot
 loop.  :class:`IndexedGraph` is the bridge between the two worlds: it maps
 the labels once to contiguous integer indices ``0..n-1`` and lays the
-adjacency out in CSR form (``indptr`` / ``nbr`` / ``wt`` flat lists), so the
-runner can do all per-round work on plain integer arrays while algorithms
-keep their labels.
+adjacency out in CSR form (``indptr`` / ``nbr`` / ``wt`` flat tuples), so
+the runner can do all per-round work on plain integer arrays while
+algorithms keep their labels.
 
-The view is *frozen*: it never mutates, and :class:`Graph` invalidates its
-cached view on every ``add_node`` / ``add_edge``, so ``IndexedGraph.of(g)``
-is safe to call repeatedly — recursive algorithms that run many phases over
-one graph pay the O(n + m) build exactly once.
+The view is *frozen*: it never mutates, and the CSR columns are tuples, so
+a kernel or helper that writes into a column shared by every node (and,
+through shm, by every worker) fails with :class:`TypeError` instead of
+silently changing the graph under later runs.  :class:`Graph` invalidates
+its cached view on every ``add_node`` / ``add_edge``, so
+``IndexedGraph.of(g)`` is safe to call repeatedly — recursive algorithms
+that run many phases over one graph pay the O(n + m) build exactly once.
 
 Directed-edge numbering: the CSR slot of neighbor ``v`` in ``u``'s adjacency
 run is the *port id* of the directed edge ``u -> v``.  Port ids are what the
@@ -39,7 +42,7 @@ class IndexedGraph:
     index_of:
         Inverse map ``label -> index``.
     indptr / nbr / wt:
-        Standard CSR: the neighbors of index ``i`` are
+        Standard CSR as read-only tuples: the neighbors of index ``i`` are
         ``nbr[indptr[i]:indptr[i + 1]]`` with matching weights in ``wt``.
     """
 
@@ -83,9 +86,9 @@ class IndexedGraph:
                 indptr.append(len(nbr))
         self.labels = labels
         self.index_of = index_of
-        self.indptr = indptr
-        self.nbr = nbr
-        self.wt = wt
+        self.indptr = tuple(indptr)
+        self.nbr = tuple(nbr)
+        self.wt = tuple(wt)
         self.num_nodes = len(labels)
         self.num_edges = len(nbr) // 2
         self._node_views: list[tuple] | None = None
@@ -102,7 +105,7 @@ class IndexedGraph:
         """Build a view directly from CSR columns (the shm attach path).
 
         ``indptr``/``nbr``/``wt`` are any integer sequences; they are
-        materialized into the plain lists the engine indexes.  When the
+        materialized into the plain tuples the engine indexes.  When the
         caller already holds numpy views over the same data (e.g. mapped
         shared memory), passing them as ``csr_views`` seeds the
         :meth:`csr` cache so the flat-array export stays zero-copy.
@@ -110,9 +113,9 @@ class IndexedGraph:
         self = object.__new__(cls)
         self.labels = labels = list(labels)
         self.index_of = {u: i for i, u in enumerate(labels)}
-        self.indptr = list(indptr)
-        self.nbr = list(nbr)
-        self.wt = list(wt)
+        self.indptr = tuple(indptr)
+        self.nbr = tuple(nbr)
+        self.wt = tuple(wt)
         self.num_nodes = len(labels)
         self.num_edges = len(self.nbr) // 2
         self._node_views = None
@@ -168,10 +171,10 @@ class IndexedGraph:
     def degree(self, i: int) -> int:
         return self.indptr[i + 1] - self.indptr[i]
 
-    def neighbor_indices(self, i: int) -> list[int]:
+    def neighbor_indices(self, i: int) -> tuple[int, ...]:
         return self.nbr[self.indptr[i] : self.indptr[i + 1]]
 
-    def neighbor_weights(self, i: int) -> list[int]:
+    def neighbor_weights(self, i: int) -> tuple[int, ...]:
         return self.wt[self.indptr[i] : self.indptr[i + 1]]
 
     def node_views(self) -> list[tuple]:

@@ -4,18 +4,18 @@
 that every byte-identity guarantee rests on: seeded draws only, no global
 RNG or wall-clock in measured paths, sorted iteration wherever order can
 reach a row or digest, JSON-safe scenario params, and the Algorithm/driver
-contracts of :mod:`repro.sim`.  The F rules go further: they build a
-whole-program model (:mod:`repro.lint.project`), run interprocedural
-seed/nondeterminism taint over it (:mod:`repro.lint.flow`), and check
-fork-boundary discipline across process spawns (:mod:`repro.lint.frules`).
-See :mod:`repro.lint.engine` for the rule engine and pragma syntax,
-:mod:`repro.lint.rules` for the per-file rule set, and
+contracts of :mod:`repro.sim`.  Every rule looks at one file at a time.
+What only a whole-program view could see is checked at run time instead:
+the seed axis by ``tests/test_driver_catalog.py::TestSeedVariation``,
+shared CSR columns by the read-only tuples of
+:class:`~repro.graphs.indexed.IndexedGraph`, and the shm attach path by
+``tests/test_shm.py``.  See :mod:`repro.lint.engine` for the rule engine
+and pragma syntax, :mod:`repro.lint.rules` for the rule set, and
 ``repro lint --list-rules`` for the live catalog.
 """
 
 from .engine import (
     Finding,
-    FlowRule,
     PRAGMA_RULE_ID,
     Rule,
     SYNTAX_RULE_ID,
@@ -31,7 +31,6 @@ from .sarif import render_sarif
 __all__ = [
     "Finding",
     "Rule",
-    "FlowRule",
     "RULES",
     "lint_source",
     "lint_file",

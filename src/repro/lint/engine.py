@@ -43,7 +43,6 @@ __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "FlowRule",
     "lint_source",
     "lint_file",
     "lint_paths",
@@ -147,31 +146,6 @@ class Rule(ast.NodeVisitor):
     def run(self) -> list[Finding]:
         self.visit(self.ctx.tree)
         return self.findings
-
-
-class FlowRule:
-    """Base class for project-level rules (the F family).
-
-    Unlike :class:`Rule`, a flow rule is not a per-file visitor: it runs
-    once per lint invocation against a
-    :class:`~repro.lint.project.ProjectModel` built from every file of
-    the run, so its findings may depend on code in *other* files.  It
-    shares the registry surface (``id``/``name``/``severity``/fixture
-    examples, ``--select``/``--ignore``, pragmas) with visitor rules —
-    only the execution model differs.
-    """
-
-    id: str = ""
-    name: str = ""
-    severity: str = "error"
-    summary: str = ""
-    exempt_paths: tuple = ()
-    example_bad: str = ""
-    example_good: str = ""
-
-    @classmethod
-    def check(cls, model) -> list[Finding]:  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 def _registered_rules() -> list[type]:
@@ -368,115 +342,41 @@ def _analyze_source(
     path: str,
     select: tuple | None,
     ignore: tuple | None,
-) -> dict:
-    """Parse and run the visitor rules on one file.
+) -> list[Finding]:
+    """Parse one file and run the active rules; return its findings.
 
-    Returns a record with the parsed ``tree`` (``None`` on syntax error),
-    the pragma ``suppressed`` map, the pragma ``cover`` groups, and the
-    per-file ``findings`` (meta + visitor, suppression already applied).
-    The record is what the project-mode flow pass consumes.
+    The findings are meta (syntax, pragma) plus rule findings, with
+    pragma suppression already applied, in no particular order.
     """
-    record = {
-        "path": path,
-        "source": source,
-        "tree": None,
-        "suppressed": {},
-        "cover": {},
-        "findings": [],
-    }
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        if _meta_active(SYNTAX_RULE_ID, select, ignore):
-            record["findings"].append(
-                Finding(
-                    rule=SYNTAX_RULE_ID,
-                    name="syntax-error",
-                    severity="error",
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    message=f"file does not parse: {exc.msg}",
-                )
+        if not _meta_active(SYNTAX_RULE_ID, select, ignore):
+            return []
+        return [
+            Finding(
+                rule=SYNTAX_RULE_ID,
+                name="syntax-error",
+                severity="error",
+                path=path,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}",
             )
-        return record
+        ]
     active = resolve_rule_selection(select, ignore)
     known_ids = {rule.id for rule in _registered_rules()}
     suppressed, pragma_findings = _collect_pragmas(source, path, known_ids)
     cover = _pragma_cover(tree)
-    record.update(tree=tree, suppressed=suppressed, cover=cover)
-    findings: list[Finding] = record["findings"]
+    findings: list[Finding] = []
     if _meta_active(PRAGMA_RULE_ID, select, ignore):
         findings.extend(pragma_findings)
     ctx = FileContext(path, source, tree)
     for rule_cls in active:
-        if issubclass(rule_cls, FlowRule):
-            continue  # project-level rules run once per invocation
         if rule_cls.exempt_paths and ctx.path_matches(rule_cls.exempt_paths):
             continue
         for finding in rule_cls(ctx).run():
             if finding.rule in _suppressed_rules(suppressed, cover, finding.line):
-                continue
-            findings.append(finding)
-    return record
-
-
-def _flow_findings(
-    records: list,
-    select: tuple | None,
-    ignore: tuple | None,
-    extra_files: list | None = None,
-    stats: dict | None = None,
-) -> list[Finding]:
-    """Run the active flow rules over the project the records form.
-
-    ``extra_files`` are ``(path, source, tree)`` triples added to the
-    project model for symbol resolution only — findings anchored in them
-    are dropped (plugins mode resolves into ``repro.*`` without
-    re-reporting the library).  ``stats``, when given, receives the model
-    shape: function/edge counts and the unresolved-edge total that the
-    CLI's ``--json`` ``flow`` block reports.
-    """
-    active = [
-        rule
-        for rule in resolve_rule_selection(select, ignore)
-        if issubclass(rule, FlowRule)
-    ]
-    parsed = [
-        record for record in records if record["tree"] is not None
-    ]
-    if not active or not parsed:
-        return []
-    from .project import ProjectModel
-
-    files = [(r["path"], r["source"], r["tree"]) for r in parsed]
-    seen_paths = {r["path"] for r in parsed}
-    for extra in extra_files or ():
-        if extra[0] not in seen_paths:
-            files.append(extra)
-    model = ProjectModel(files)
-    if stats is not None:
-        stats["functions"] = len(model.functions)
-        stats["call_edges"] = len(model.edges)
-        stats["unresolved_edges"] = len(model.unresolved_edges())
-        stats["spawn_sites"] = len(model.topology.spawn_sites)
-    by_path = {r["path"]: r for r in parsed}
-    findings: list[Finding] = []
-    for rule_cls in active:
-        for finding in rule_cls.check(model):
-            record = by_path.get(finding.path)
-            if record is None:
-                continue  # anchored in a resolution-only extra file
-            if rule_cls.exempt_paths:
-                normalized = Path(finding.path).as_posix()
-                if any(
-                    normalized.endswith(suffix)
-                    for suffix in rule_cls.exempt_paths
-                ):
-                    continue
-            if finding.rule in _suppressed_rules(
-                record["suppressed"], record["cover"], finding.line
-            ):
                 continue
             findings.append(finding)
     return findings
@@ -488,17 +388,9 @@ def lint_source(
     *,
     select: tuple | None = None,
     ignore: tuple | None = None,
-    flow: bool = True,
 ) -> list[Finding]:
-    """Lint one source string; return findings sorted by location then id.
-
-    Flow rules see the file as a one-module project, so interprocedural
-    findings whose whole chain lives in this file still fire.
-    """
-    record = _analyze_source(source, path, select, ignore)
-    findings = list(record["findings"])
-    if flow:
-        findings.extend(_flow_findings([record], select, ignore))
+    """Lint one source string; return findings sorted by location then id."""
+    findings = _analyze_source(source, path, select, ignore)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -508,10 +400,9 @@ def lint_file(
     *,
     select: tuple | None = None,
     ignore: tuple | None = None,
-    flow: bool = True,
 ) -> list[Finding]:
     text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, str(path), select=select, ignore=ignore, flow=flow)
+    return lint_source(text, str(path), select=select, ignore=ignore)
 
 
 def _python_files(path: Path) -> list[Path]:
@@ -529,8 +420,6 @@ def lint_paths(
     *,
     select: tuple | None = None,
     ignore: tuple | None = None,
-    flow: bool = True,
-    stats: dict | None = None,
 ) -> tuple[list[Finding], list[str]]:
     """Lint files and directory trees; return ``(findings, files_checked)``.
 
@@ -539,11 +428,6 @@ def lint_paths(
     text and JSON output — is deterministic for a given tree.  A path that
     does not exist raises :class:`FileNotFoundError`; the CLI reports it
     as a usage error.
-
-    With ``flow`` (default) the run is a *project*: all files are parsed
-    into one :class:`~repro.lint.project.ProjectModel` and the F rules
-    run across it after the per-file visitor rules.  ``stats``, when
-    given, is filled with the flow counters for the CLI's JSON output.
     """
     file_paths: list[Path] = []
     for raw in paths:
@@ -551,19 +435,9 @@ def lint_paths(
         if not path.exists():
             raise FileNotFoundError(f"no such file or directory: {raw}")
         file_paths.extend(_python_files(path))
-    checked = [str(p) for p in file_paths]
-
-    records: list[dict] = []
     findings: list[Finding] = []
     for file_path in file_paths:
         source = file_path.read_text(encoding="utf-8")
-        record = _analyze_source(source, str(file_path), select, ignore)
-        records.append(record)
-        findings.extend(record["findings"])
-    flow_stats: dict = {}
-    if flow:
-        findings.extend(_flow_findings(records, select, ignore, stats=flow_stats))
-    if stats is not None:
-        stats["flow"] = flow_stats if flow else None
+        findings.extend(_analyze_source(source, str(file_path), select, ignore))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, checked
+    return findings, [str(p) for p in file_paths]

@@ -1120,11 +1120,6 @@ class BatchSharedMutation(Rule):
                         )
 
 
-# The F rules live in repro.lint.frules; importing them here (after every
-# helper they borrow is defined) keeps RULES the single registry the
-# engine, CLI, and fixture suite consume.
-from .frules import FLOW_RULES  # noqa: E402
-
 #: Every registered rule, id-sorted; the engine and CLI consume this.
 RULES = sorted(
     (
@@ -1141,7 +1136,6 @@ RULES = sorted(
         UnjsonScenarioParams,
         UndeclaredQualityColumn,
         BatchSharedMutation,
-        *FLOW_RULES,
     ),
     key=lambda rule: rule.id,
 )

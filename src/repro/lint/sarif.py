@@ -2,10 +2,10 @@
 
 SARIF (Static Analysis Results Interchange Format) is what code-scanning
 backends ingest — GitHub's ``upload-sarif`` action turns the document
-into inline PR annotations, so a D/P/F finding lands on the exact diff
+into inline PR annotations, so a D/P finding lands on the exact diff
 line instead of in a buried CI log.  The emitter maps:
 
-* the full rule registry (visitor + flow + pseudo rules) to
+* the full rule registry (rules + pseudo rules) to
   ``tool.driver.rules``, so every ``ruleId`` in a result resolves to a
   description even for rules that produced no findings this run;
 * ``severity`` to SARIF ``level`` (both ``error`` and ``warning`` fail

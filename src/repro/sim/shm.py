@@ -199,9 +199,9 @@ def attach_graph(name: str):
             a.flags.writeable = False
         indptr, nbr, wt = (a.tolist() for a in csr_views)
     except ImportError:
-        indptr = list(struct.unpack_from(f"<{n + 1}q", buf, offset))
-        nbr = list(struct.unpack_from(f"<{ports}q", buf, indptr_end))
-        wt = list(struct.unpack_from(f"<{ports}q", buf, nbr_end))
+        indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
+        nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
+        wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)
     indexed = IndexedGraph.from_csr(labels, indptr, nbr, wt, csr_views=csr_views)
     graph = Graph()
     adj = graph._adj

@@ -1,19 +1,20 @@
 """Pragma-placement regression: decorated and split-signature defs.
 
-F301 anchors on the ``def`` line, which may sit below a decorator stack
-or above a multi-line signature.  A pragma above the first decorator,
-or trailing the closing-paren line, must reach it; this file lints
-clean.
+A finding in a signature sits below the decorator stack, or on one line
+of a multi-line signature.  A pragma above the first decorator, or
+trailing the closing-paren line, must reach it; this file lints clean.
 """
+
+import random
 
 
 def trace(fn):
     return fn
 
 
-# repro: lint-ok[F301] fixture: comment-above-decorator placement
+# repro: lint-ok[D101] fixture: comment-above-decorator placement
 @trace
-def drive_decorated(graph, seed, metrics):
+def drive_decorated(graph, seed, metrics, jitter=random.random()):
     return {}
 
 
@@ -22,5 +23,6 @@ def drive_split(
     graph,
     seed,
     metrics,
-):  # repro: lint-ok[F301] fixture: closing-paren-line placement
+    jitter=random.random(),
+):  # repro: lint-ok[D101] fixture: closing-paren-line placement
     return {}

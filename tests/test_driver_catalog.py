@@ -10,7 +10,9 @@ This file covers the catalog-growth contract:
   (tree, grid, random-connected);
 * seeds actually vary the run: distinct seeds sample distinct sources even
   on unweighted families (the silent-corruption bug where every
-  ``(scenario, n, seed)`` cell recomputed the identical run);
+  ``(scenario, n, seed)`` cell recomputed the identical run), and on one
+  fixed instance every seeded scenario's driver gives more than one run
+  over four seeds while the seed-free ones give exactly one;
 * resume keys carry the scenario-definition digest, so a store written
   under old params never silently satisfies a sweep under new ones.
 """
@@ -28,11 +30,13 @@ from repro.api import (
     run_sweep_spec,
 )
 from repro.graphs import generators
-from repro.sim import experiments
+from repro.sim import Metrics, experiments, simulation_engine
 from repro.sim.experiments import (
     ROW_FIELDS,
     Scenario,
     SweepError,
+    get_scenario,
+    list_scenarios,
     register_scenario,
     run_scenario,
     scenario_digest,
@@ -222,8 +226,68 @@ class TestCatalogDifferential:
         assert sorted(tuple(row)[len(ROW_FIELDS):]) == list(tuple(row)[len(ROW_FIELDS):])
 
 
+#: Algorithms that are deterministic per instance: the sweep seed varies
+#: only the graph they run on, so on one fixed instance every seed must give
+#: the same run.  Every other registered algorithm must use its seed.
+SEED_FREE = {
+    "boruvka": "fragments merge by edge id",
+    "decomposition": "the seed varies the graph only",
+    "sparse-cover": "the seed varies the graph only",
+    "layered-cover": "the seed varies the graph only",
+}
+
+
+def distinct_runs(scenario: Scenario, driver) -> int:
+    """How many distinct runs ``driver`` gives on one instance over seeds 0-3.
+
+    The instance is fixed (``build_graph(12, 0)``) and so are the engine's
+    own seeded draws (latency, faults), so only the seed handed to the
+    driver can tell the runs apart.  A run is its metrics' full
+    ``to_dict()`` plus the driver's quality columns.
+    """
+    graph = scenario.build_graph(12, 0)
+    bounded = scenario.max_time is not None or scenario.message_budget is not None
+    engine = "round" if scenario.latency_model == "unit" and not bounded else "event"
+    runs = set()
+    for seed in range(4):
+        metrics = Metrics()
+        with simulation_engine(
+            engine,
+            scenario.latency_model,
+            seed=0,
+            faults=scenario.fault_model,
+            max_time=scenario.max_time,
+            message_budget=scenario.message_budget,
+        ):
+            extras = driver(graph, seed, metrics, **dict(scenario.params))
+        runs.add(json.dumps([metrics.to_dict(), extras], sort_keys=True))
+    return len(runs)
+
+
 class TestSeedVariation:
     """Distinct seeds must sample distinct sources (the seed-ignored bug)."""
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_driver_seed_reaches_the_run(self, name):
+        scenario = get_scenario(name)
+        driver = get_algorithm_spec(scenario.algorithm).resolve()
+        runs = distinct_runs(scenario, driver)
+        if scenario.algorithm in SEED_FREE:
+            assert runs == 1, SEED_FREE[scenario.algorithm]
+        else:
+            assert runs > 1, f"{name}: four seeds gave one run; the seed is dropped"
+
+    def test_a_seed_dropping_driver_gives_one_run(self):
+        # Negative control: the check above must see through a driver that
+        # takes a seed and never uses it.
+        scenario = get_scenario("sssp/er")
+        real = get_algorithm_spec(scenario.algorithm).resolve()
+
+        def drops_its_seed(graph, seed, metrics):
+            return real(graph, 0, metrics)
+
+        assert distinct_runs(scenario, real) > 1
+        assert distinct_runs(scenario, drops_its_seed) == 1
 
     def test_source_node_varies_with_seed(self):
         from repro.api.drivers import _source_node

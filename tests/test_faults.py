@@ -123,18 +123,30 @@ def test_parse_errors_pinpoint_the_offending_term():
 # ----------------------------------------------------------------------
 # determinism: draws and crash plans are pure functions of their keys
 # ----------------------------------------------------------------------
-def test_draws_are_deterministic_across_instances_and_seed_sensitive():
-    a = parse_fault_model("drop:0.3+dup:0.2", seed=5)
-    b = parse_fault_model("drop:0.3+dup:0.2", seed=5)
-    other = parse_fault_model("drop:0.3+dup:0.2", seed=6)
-    keys = [(s, d, t, i) for s in range(4) for d in range(4) for t in range(3)
-            for i in range(2)]
-    drops_a = [a.drop_message(*k) for k in keys]
-    assert drops_a == [b.drop_message(*k) for k in keys]
-    assert [a.duplicate_message(*k) for k in keys] == \
-        [b.duplicate_message(*k) for k in keys]
-    assert drops_a != [other.drop_message(*k) for k in keys]
-    assert any(drops_a) and not all(drops_a)
+DRAW_KEYS = [(s, d, t, i) for s in range(4) for d in range(4) for t in range(3)
+             for i in range(2)]
+
+#: Each seeded draw of the fault plane: (model spec, the draws it makes).
+FAULT_DRAWS = {
+    "drop": ("drop:0.3+dup:0.2",
+             lambda plane: [plane.drop_message(*k) for k in DRAW_KEYS]),
+    "dup": ("drop:0.3+dup:0.2",
+            lambda plane: [plane.duplicate_message(*k) for k in DRAW_KEYS]),
+    "crash": ("crash:3@4+restart:2",
+              lambda plane: plane.crash_plan(list(range(10)))),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(FAULT_DRAWS))
+def test_draws_are_deterministic_across_instances_and_seed_sensitive(draw):
+    spec, draws = FAULT_DRAWS[draw]
+    made = draws(parse_fault_model(spec, seed=5))
+    assert made == draws(parse_fault_model(spec, seed=5))
+    assert made != draws(parse_fault_model(spec, seed=6))
+    if isinstance(made, list):
+        assert any(made) and not all(made)
+    else:
+        assert len(made) == 3
 
 
 def test_composing_dup_does_not_perturb_drop_draws():

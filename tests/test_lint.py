@@ -1,4 +1,4 @@
-"""``repro.lint``: rule engine, rule set, pragmas, CLI, and ``--plugins``."""
+"""``repro.lint``: rule engine, rule set, pragmas, CLI, SARIF, ``--plugins``."""
 
 import json
 import subprocess
@@ -18,6 +18,7 @@ from repro.lint import (
     resolve_rule_selection,
 )
 from repro.lint.rules import ROW_FIELDS_SNAPSHOT
+from repro.lint.sarif import sarif_document
 from repro.testing import subprocess_env
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -181,6 +182,86 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------
+# pragma placement regressions: multi-line statements, decorated defs
+# ----------------------------------------------------------------------
+class TestPragmaPlacement:
+    def test_pragma_on_the_closing_line_of_a_multiline_call(self):
+        source = (
+            "import random\n"
+            "\n\n"
+            "def f(options):\n"
+            "    return random.choice(\n"
+            "        sorted(options),\n"
+            "    )  # repro: lint-ok[D101] demo fixture for span pragmas\n"
+        )
+        assert lint_source(source) == []
+
+    def test_pragma_on_an_inner_line_of_a_multiline_call(self):
+        source = (
+            "import random\n"
+            "\n\n"
+            "def f(options):\n"
+            "    return random.choice(\n"
+            "        sorted(options),  # repro: lint-ok[D101] span pragma demo\n"
+            "    )\n"
+        )
+        assert lint_source(source) == []
+
+    def test_pragma_above_a_decorated_def_covers_the_def_line(self):
+        source = (
+            "import random\n"
+            "\n\n"
+            "def trace(fn):\n"
+            "    return fn\n"
+            "\n\n"
+            "# repro: lint-ok[D101] fixture: decorated driver, reviewed\n"
+            "@trace\n"
+            "def drive_demo(graph, seed, metrics, jitter=random.random()):\n"
+            "    return {}\n"
+        )
+        assert lint_source(source) == []
+        unsuppressed = source.replace("# repro: lint-ok[D101]", "#")
+        assert [(f.rule, f.line) for f in lint_source(unsuppressed)] == [("D101", 10)]
+
+    def test_pragma_on_the_signature_line_of_a_decorated_def(self):
+        source = (
+            "import random\n"
+            "\n\n"
+            "def trace(fn):\n"
+            "    return fn\n"
+            "\n\n"
+            "@trace\n"
+            "def drive_demo(\n"
+            "    graph,\n"
+            "    seed,\n"
+            "    metrics,\n"
+            "    jitter=random.random(),\n"
+            "):  # repro: lint-ok[D101] fixture: split signature, reviewed\n"
+            "    return {}\n"
+        )
+        assert lint_source(source) == []
+
+    def test_checked_in_pragma_fixtures_lint_clean(self):
+        findings, checked = lint_paths([
+            str(FIXTURES / "pragma_multiline.py"),
+            str(FIXTURES / "pragma_decorated.py"),
+        ])
+        assert findings == []
+        assert len(checked) == 2
+
+    def test_compound_statement_bodies_are_not_blanket_covered(self):
+        # A pragma on a `def` line must not suppress findings deep in the
+        # body — only simple statements group their physical lines.
+        source = (
+            "import random\n"
+            "\n\n"
+            "def f():  # repro: lint-ok[D101] must not reach the body\n"
+            "    return random.random()\n"
+        )
+        assert [f.rule for f in lint_source(source)] == ["D101"]
+
+
+# ----------------------------------------------------------------------
 # CLI: exits, filtering, JSON schema
 # ----------------------------------------------------------------------
 class TestLintCLI:
@@ -224,6 +305,23 @@ class TestLintCLI:
             assert finding.to_dict() == raw
             assert finding.rule == "D104"
 
+    def test_clean_cli_run_writes_nothing_to_stderr(self, capsys):
+        good = str(FIXTURES / "d101_good.py")
+        assert main(["lint", good]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "1 file clean\n"
+        assert main(["lint", good, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert set(json.loads(captured.out)) == {"version", "files_checked", "findings"}
+
+    def test_removed_cache_flag_is_an_unknown_option(self, tmp_path, capsys):
+        good = str(FIXTURES / "d101_good.py")
+        assert main(["lint", good, "--cache", str(tmp_path / "c.json")]) == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_self_lint_src_repro_is_clean(self):
         # The acceptance gate CI enforces, kept honest in-process too.
         findings, checked = lint_paths([str(SRC_REPRO)])
@@ -238,6 +336,43 @@ class TestLintCLI:
         )
         assert result.returncode == 1
         assert "P203" in result.stdout
+
+
+# ----------------------------------------------------------------------
+# SARIF output
+# ----------------------------------------------------------------------
+class TestSarif:
+    def test_document_shape_rules_and_result_anchors(self):
+        findings, _ = lint_paths([str(FIXTURES)])
+        assert findings
+        doc = sarif_document(findings, RULES, "0.0-test")
+        assert doc["version"] == "2.1.0"
+        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
+        run = doc["runs"][0]
+        driver = run["tool"]["driver"]
+        assert driver["name"] == "repro-lint"
+        ids = [rule["id"] for rule in driver["rules"]]
+        assert [rule.id for rule in RULES] == ids[: len(RULES)]
+        assert {"X000", "X100", "X200"} <= set(ids)
+        assert len(run["results"]) == len(findings)
+        for result, finding in zip(run["results"], findings):
+            assert result["ruleId"] == finding.rule
+            assert driver["rules"][result["ruleIndex"]]["id"] == finding.rule
+            region = result["locations"][0]["physicalLocation"]["region"]
+            assert region["startLine"] == finding.line
+            assert region["startColumn"] == finding.col + 1
+            assert "lint-ok" in result["message"]["text"]
+
+    def test_cli_output_sarif_exit_and_parse(self, capsys):
+        assert main(["lint", str(FIXTURES / "d101_bad.py"), "--output", "sarif"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["runs"][0]["results"]
+
+    def test_cli_output_sarif_clean_run(self, capsys):
+        good = str(FIXTURES / "d101_good.py")
+        assert main(["lint", good, "--output", "sarif"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["runs"][0]["results"] == []
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +435,7 @@ class TestCrossPins:
     def test_rule_ids_are_unique_and_well_formed(self):
         assert len(RULE_IDS) == len(set(RULE_IDS))
         for rule in RULES:
-            assert rule.id[0] in ("D", "P", "F")
+            assert rule.id[0] in ("D", "P")
             assert rule.id[1:].isdigit()
             assert rule.name and rule.summary
             assert rule.severity in ("error", "warning")

@@ -1,0 +1,132 @@
+"""The lint census's catches, pinned: each mutation still fires its rule.
+
+DESIGN.md's "Lint census" seeded 31 bug-class mutations into the real
+modules.  In the rows below a per-file rule fired.  Each case applies the
+row's edits to the module's current source and lints the result, so a
+rule change that loses one of those catches fails here.  An anchor that
+no longer matches fails with the anchor text: move the row along with the
+code it anchors in.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.lint import lint_source
+
+SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
+
+#: Census row -> (mutation, module under src/repro, rules that must fire on
+#: a line the edits wrote, [(anchor, replacement), ...]).
+CENSUS = {
+    3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py', ('P203',), [
+        ('return random.Random(seed).sample(nodes',
+         'return random.Random(0).sample(nodes'),
+    ]),
+    4: ('_source_node uses random.Random(0)', 'api/drivers.py', ('P203',), [
+        ('return nodes[random.Random(seed).randrange',
+         'return nodes[random.Random(0).randrange'),
+    ]),
+    6: ('APSP delays drawn from random.Random(0)', 'core/apsp.py', ('P203',), [
+        ('    rng = random.Random(seed)\n    delays',
+         '    rng = random.Random(0)\n    delays'),
+    ]),
+    7: ('random_connected_graph uses random.Random(0)', 'graphs/generators.py', ('P203',), [
+        ('    rng = random.Random(seed)\n    graph = random_tree(',
+         '    rng = random.Random(0)\n    graph = random_tree('),
+    ]),
+    8: ('_source_node reseeds the global RNG and draws from it', 'api/drivers.py', ('D101', 'D102'), [
+        ('    return nodes[random.Random(seed).randrange(len(nodes))]',
+         '    random.seed(seed)\n    return nodes[random.randrange(len(nodes))]'),
+    ]),
+    9: ('APSP delays drawn from the global RNG', 'core/apsp.py', ('D101',), [
+        ('delays = {i: rng.randrange(max(1, window)) for i in traces}',
+         'delays = {i: random.randrange(max(1, window)) for i in traces}'),
+    ]),
+    10: ('decomposition proposes red nodes in set order', 'energy/decomposition.py', ('D103',), [
+        ('            for u in sorted(live, key=repr):',
+         '            for u in live:'),
+    ]),
+    11: ('crash_plan samples victims from set order', 'sim/faults.py', ('D103',), [
+        ('        pool = sorted(labels, key=repr)',
+         '        pool = list(set(labels))'),
+    ]),
+    13: ('scenario_digest drops sort_keys=True', 'sim/experiments.py', ('D104',), [
+        ('payload = json.dumps(payload_dict, sort_keys=True)',
+         'payload = json.dumps(payload_dict)'),
+    ]),
+    14: ('scenario_digest hashes the params in set order', 'sim/experiments.py', ('D103',), [
+        ('"params": {str(k): v for k, v in dict(scenario.params).items()},',
+         '"params": [[str(k), v] for k, v in set(dict(scenario.params).items())],'),
+    ]),
+    16: ('_run_cell adds a wall-time quality column', 'sim/experiments.py', ('D105',), [
+        ('import hashlib\nimport json\n',
+         'import hashlib\nimport json\nimport time\n'),
+        ('    graph = _cached_graph(scenario, n, seed)\n    metrics = Metrics()',
+         '    graph = _cached_graph(scenario, n, seed)\n    started = time.perf_counter()\n    metrics = Metrics()'),
+        ('    merged = dict(extras) if extras else {}\n',
+         '    merged = dict(extras) if extras else {}\n    merged["wall_ms"] = int(1000 * (time.perf_counter() - started))\n'),
+    ]),
+    17: ('Runner.run stops after a one-hour wall-clock budget', 'sim/runner.py', ('D105',), [
+        ('from itertools import repeat\n',
+         'from itertools import repeat\nimport time\n'),
+        ('        last_round = -1\n        messages_sent = 0\n',
+         '        last_round = -1\n        deadline = time.monotonic() + 3600\n        messages_sent = 0\n'),
+        ('        while heap:\n',
+         '        while heap and time.monotonic() < deadline:\n'),
+    ]),
+    18: ('drive_apsp reads its capacity factor from the environment', 'api/drivers.py', ('D107',), [
+        ('    from ..core import apsp\n\n',
+         '    from ..core import apsp\n    import os\n\n    capacity_log_factor = int(os.environ.get("REPRO_APSP_CAPACITY", capacity_log_factor))\n'),
+    ]),
+    19: ('_source_node sorts nodes by id()', 'api/drivers.py', ('D106',), [
+        ('    nodes = sorted(graph.nodes(), key=repr)\n    return nodes[random.Random(seed).randrange',
+         '    nodes = sorted(graph.nodes(), key=id)\n    return nodes[random.Random(seed).randrange'),
+    ]),
+    20: ('Bellman-Ford sorts its inbox payloads in place', 'baselines/bellman_ford.py', ('P201',), [
+        ('            dist = self.dist\n            for sender, estimate in zip(inbox.senders, inbox.payloads):',
+         '            dist = self.dist\n            inbox.payloads.sort()\n            for sender, estimate in zip(inbox.senders, inbox.payloads):'),
+    ]),
+    21: ('_DistanceExchange keeps ctx on self and broadcasts through it', 'core/paths.py', ('P202',), [
+        ('        if ctx.round == 0:\n            if self.dist != INFINITY:\n                ctx.broadcast(self.dist)',
+         '        self._ctx = ctx\n        if ctx.round == 0:\n            if self.dist != INFINITY:\n                self._ctx.broadcast(self.dist)'),
+    ]),
+    22: ('labeled-bfs/grid registers a tuple-valued param', 'sim/experiments.py', ('P204',), [
+        ('    Scenario("labeled-bfs/grid", "grid", "labeled-bfs", max_weight=9,\n',
+         '    Scenario("labeled-bfs/grid", "grid", "labeled-bfs", max_weight=9,\n             params=(("num_sources", (3,)),),\n'),
+    ]),
+    23: ('drive_boruvka returns a column named like a core row field', 'api/drivers.py', ('P205',), [
+        ('    return {"forest_weight": weight, "mst_weight": expected}',
+         '    return {"forest_weight": weight, "mst_weight": expected, "n": graph.num_nodes}'),
+    ]),
+    24: ('WeightedBFS kernel reverses its awake column in place', 'core/bfs.py', ('P206',), [
+        ('        codes = []\n        append = codes.append\n        for i in awake:',
+         '        codes = []\n        append = codes.append\n        awake.reverse()\n        for i in awake:'),
+    ]),
+}
+
+
+def mutate(source: str, edits: list) -> tuple:
+    """Apply ``edits`` in order; return the source and the lines they wrote."""
+    spans: list = []  # [start, end) character spans of the replacements
+    for anchor, replacement in edits:
+        assert source.count(anchor) == 1, f"census anchor not found exactly once: {anchor!r}"
+        start = source.index(anchor)
+        shift = len(replacement) - len(anchor)
+        spans = [(a + shift, b + shift) if a >= start else (a, b) for a, b in spans]
+        spans.append((start, start + len(replacement)))
+        source = source[:start] + replacement + source[start + len(anchor):]
+    written = set()
+    for a, b in spans:
+        first = source.count("\n", 0, a) + 1
+        written.update(range(first, first + source.count("\n", a, b) + 1))
+    return source, written
+
+
+@pytest.mark.parametrize("row", sorted(CENSUS), ids=lambda row: f"row{row:02d}")
+def test_census_mutation_fires_its_rule(row):
+    _what, module, rules, edits = CENSUS[row]
+    path = f"src/repro/{module}"
+    source, written = mutate((SRC_REPRO / module).read_text(encoding="utf-8"), edits)
+    fired = {f.rule for f in lint_source(source, path=path) if f.line in written}
+    assert set(rules) <= fired, f"row {row} ({path}): {sorted(fired)}"

@@ -117,9 +117,23 @@ class TestRoundTrip:
             assert csr is not None
             indptr, nbr, wt = csr
             assert not indptr.flags.writeable
-            assert nbr.tolist() == IndexedGraph.of(graph).nbr
+            assert tuple(nbr.tolist()) == IndexedGraph.of(graph).nbr
             with pytest.raises(ValueError):
                 wt[0] = 99
+        finally:
+            handle.unlink()
+
+    def test_attach_leaves_the_segment_to_its_publisher(self, no_leaks):
+        # Only the publisher unlinks.  A worker that unlinked on attach
+        # would make every later attach by name fail, and each of those
+        # cells would silently fall back to building its graph locally.
+        from multiprocessing import shared_memory
+
+        handle = shm.publish_graph(random_connected_graph(8, 0.4, seed=3))
+        try:
+            assert shm.attach_graph(handle.name) is not None
+            again = shared_memory.SharedMemory(name=handle.name)
+            again.close()
         finally:
             handle.unlink()
 
