@@ -1,15 +1,15 @@
 """The ``repro lint`` rule engine: findings, pragmas, file/tree dispatch.
 
 Everything the reproduction guarantees — byte-identical rows across
-engines, worker counts, shards, resume, and fault planes — reduces to a
-handful of code-level disciplines: seeded draws only, no global RNG or
-wall-clock in measured paths, sorted iteration wherever order can reach a
-row or a digest, JSON-safe axis values, and the Algorithm/driver contracts
-of :mod:`repro.sim`.  This engine makes those disciplines checkable: each
-rule is a small :class:`ast.NodeVisitor` subclass (see
-:mod:`repro.lint.rules`) with an id, severity, message, and fixture
-examples; the engine parses a file once, runs every selected rule over the
-tree, applies inline suppression pragmas, and returns a sorted list of
+engines, worker counts, shards, resume, and fault planes — rests on a
+handful of code-level disciplines: seeded draws only, no global RNG,
+wall-clock or environment reads in measured paths, sorted iteration
+wherever order can reach a row or a digest, and the Algorithm contracts
+of :mod:`repro.sim`.  This engine makes the ones tier-1 cannot see
+checkable: each rule is a small :class:`ast.NodeVisitor` subclass (see
+:mod:`repro.lint.rules`) with an id, severity and summary; the engine
+parses a file once, runs every selected rule over the tree, applies
+inline suppression pragmas, and returns a sorted list of
 :class:`Finding` records.
 
 Suppression pragma
@@ -112,10 +112,6 @@ class Rule(ast.NodeVisitor):
     that call :meth:`report`.  ``exempt_paths`` names posix path suffixes
     the rule does not apply to (e.g. the wall-clock rule exempts
     ``repro/bench.py`` — timing is that module's whole job).
-    ``example_bad`` / ``example_good`` are the rule's fixture snippets:
-    the bad one marks each expected finding line with a trailing
-    ``# expect: <id>`` comment, and the test suite pins both against the
-    checked-in fixture files under ``tests/lint_fixtures/``.
     """
 
     id: str = ""
@@ -123,8 +119,6 @@ class Rule(ast.NodeVisitor):
     severity: str = "error"
     summary: str = ""
     exempt_paths: tuple = ()
-    example_bad: str = ""
-    example_good: str = ""
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx

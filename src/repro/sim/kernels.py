@@ -24,8 +24,11 @@ Rules a kernel must follow (the engine relies on them):
 * append unicasts to ``out_ports``/``out_payloads`` (port ids) and
   broadcasts to ``bcast_src``/``bcast_payloads`` (node indices) in the
   same order the scalar path would — inbox order is observable;
-* never mutate the inbox columns or the shared CSR arrays (lint rule
-  P206); the engine truncates inboxes after the kernel returns;
+* never mutate the inbox columns or the shared CSR arrays: the CSR
+  columns are tuples, so a write raises ``TypeError``, and the
+  backend-parity suite (``tests/test_kernels.py::TestBackendParity``)
+  pins what ``awake``/``inboxes`` mutations would change; the engine
+  truncates inboxes after the kernel returns;
 * a broadcast by a degree-0 node appends **no** record (mirroring
   :meth:`Context.broadcast`'s early return).
 

@@ -13,6 +13,8 @@ This file covers the catalog-growth contract:
   ``(scenario, n, seed)`` cell recomputed the identical run), and on one
   fixed instance every seeded scenario's driver gives more than one run
   over four seeds while the seed-free ones give exactly one;
+* every driver's quality columns are string-keyed, JSON-safe, and clear
+  of the core row fields;
 * resume keys carry the scenario-definition digest, so a store written
   under old params never silently satisfies a sweep under new ones.
 """
@@ -237,29 +239,38 @@ SEED_FREE = {
 }
 
 
+def drive(scenario: Scenario, driver, graph, seed: int) -> tuple:
+    """Run ``driver`` once on ``graph`` under the scenario's engine setup.
+
+    The engine's own seeded draws (latency, faults) are fixed at seed 0,
+    so only the seed handed to the driver can vary the run.  Returns the
+    metrics and the driver's quality columns.
+    """
+    bounded = scenario.max_time is not None or scenario.message_budget is not None
+    engine = "round" if scenario.latency_model == "unit" and not bounded else "event"
+    metrics = Metrics()
+    with simulation_engine(
+        engine,
+        scenario.latency_model,
+        seed=0,
+        faults=scenario.fault_model,
+        max_time=scenario.max_time,
+        message_budget=scenario.message_budget,
+    ):
+        extras = driver(graph, seed, metrics, **dict(scenario.params))
+    return metrics, extras
+
+
 def distinct_runs(scenario: Scenario, driver) -> int:
     """How many distinct runs ``driver`` gives on one instance over seeds 0-3.
 
-    The instance is fixed (``build_graph(12, 0)``) and so are the engine's
-    own seeded draws (latency, faults), so only the seed handed to the
-    driver can tell the runs apart.  A run is its metrics' full
-    ``to_dict()`` plus the driver's quality columns.
+    The instance is fixed (``build_graph(12, 0)``).  A run is its metrics'
+    full ``to_dict()`` plus the driver's quality columns.
     """
     graph = scenario.build_graph(12, 0)
-    bounded = scenario.max_time is not None or scenario.message_budget is not None
-    engine = "round" if scenario.latency_model == "unit" and not bounded else "event"
     runs = set()
     for seed in range(4):
-        metrics = Metrics()
-        with simulation_engine(
-            engine,
-            scenario.latency_model,
-            seed=0,
-            faults=scenario.fault_model,
-            max_time=scenario.max_time,
-            message_budget=scenario.message_budget,
-        ):
-            extras = driver(graph, seed, metrics, **dict(scenario.params))
+        metrics, extras = drive(scenario, driver, graph, seed)
         runs.add(json.dumps([metrics.to_dict(), extras], sort_keys=True))
     return len(runs)
 
@@ -307,6 +318,22 @@ class TestSeedVariation:
         assert len({(row["rounds"], row["energy"]) for row in rows}) > 1
 
 
+class TestRowContract:
+    """A driver's quality columns must be storable row columns."""
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_driver_extras_are_json_safe_and_not_core(self, name):
+        # A collision with a core field is rejected only deep inside a
+        # sweep, and a tuple or set value changes on the store round trip.
+        scenario = get_scenario(name)
+        driver = get_algorithm_spec(scenario.algorithm).resolve()
+        _metrics, extras = drive(scenario, driver, scenario.build_graph(12, 0), 0)
+        extras = extras or {}
+        assert all(isinstance(key, str) for key in extras), sorted(map(repr, extras))
+        assert not set(extras) & {*ROW_FIELDS, "metrics"}, sorted(extras)
+        assert json.loads(json.dumps(extras)) == extras
+
+
 class TestParamsAwareResume:
     """Resume keys carry the scenario-definition digest (the stale-params bug)."""
 
@@ -324,6 +351,15 @@ class TestParamsAwareResume:
         assert scenario_digest(base) != scenario_digest(
             Scenario("x", "tree", "labeled-bfs", max_weight=9)
         )
+
+    def test_digest_ignores_param_order(self):
+        # Equal definitions must share a resume key however their params
+        # were spelled: the digest hashes canonical (key-sorted) JSON.
+        forward = Scenario("x", "tree", "energy-bfs",
+                           params=(("base", 2), ("stretch", 3)))
+        backward = Scenario("x", "tree", "energy-bfs",
+                            params=(("stretch", 3), ("base", 2)))
+        assert scenario_digest(forward) == scenario_digest(backward)
 
     def test_digest_accepts_dict_params(self):
         # Every other consumer of Scenario.params goes through dict(), so

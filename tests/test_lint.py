@@ -17,7 +17,6 @@ from repro.lint import (
     lint_source,
     resolve_rule_selection,
 )
-from repro.lint.rules import ROW_FIELDS_SNAPSHOT
 from repro.lint.sarif import sarif_document
 from repro.testing import subprocess_env
 
@@ -26,6 +25,10 @@ SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 SUBPROCESS_ENV = subprocess_env()
 
 RULE_IDS = [rule.id for rule in RULES]
+
+#: Rule ids that once existed and were deleted (DESIGN.md, "Lint census"):
+#: a pragma or selection naming one must fail loudly, not pass silently.
+RETIRED_RULE_IDS = ("D104", "D106", "P201", "P203", "P204", "P205", "P206")
 
 
 def expected_lines(source: str, rule_id: str) -> list:
@@ -40,21 +43,30 @@ def expected_lines(source: str, rule_id: str) -> list:
 # ----------------------------------------------------------------------
 # golden fixtures: one violating and one clean snippet per rule
 # ----------------------------------------------------------------------
+def fixture(rule, kind: str) -> Path:
+    """The checked-in ``<id>_<kind>.py`` example of ``rule``."""
+    return FIXTURES / f"{rule.id.lower()}_{kind}.py"
+
+
 class TestGoldenFixtures:
-    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
-    def test_fixture_files_pin_the_rule_examples(self, rule):
-        # The checked-in fixture *is* the rule's example attribute, so the
-        # two can never drift: editing one without the other fails here.
-        bad_file = FIXTURES / f"{rule.id.lower()}_bad.py"
-        good_file = FIXTURES / f"{rule.id.lower()}_good.py"
-        assert bad_file.read_text() == rule.example_bad
-        assert good_file.read_text() == rule.example_good
+    def test_fixture_pairs_match_the_rule_set(self):
+        # Every registered rule has its bad/good pair, and every pair
+        # belongs to a registered rule, so a deleted rule's fixtures
+        # cannot linger.
+        wanted = {rule.id.lower() for rule in RULES}
+        for kind in ("bad", "good"):
+            found = {
+                path.name[: -len(f"_{kind}.py")]
+                for path in FIXTURES.glob(f"*_{kind}.py")
+            }
+            assert found == wanted, kind
 
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     def test_bad_fixture_reports_the_marked_lines(self, rule):
-        marked = expected_lines(rule.example_bad, rule.id)
+        source = fixture(rule, "bad").read_text()
+        marked = expected_lines(source, rule.id)
         assert marked, f"{rule.id}: bad fixture carries no # expect markers"
-        findings = lint_source(rule.example_bad, path=f"{rule.id.lower()}_bad.py")
+        findings = lint_source(source, path=fixture(rule, "bad").name)
         assert sorted(f.line for f in findings if f.rule == rule.id) == marked
         # ... and nothing *else* fires: each fixture isolates its rule.
         assert [f for f in findings if f.rule != rule.id] == []
@@ -65,18 +77,17 @@ class TestGoldenFixtures:
 
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     def test_good_fixture_is_clean_under_every_rule(self, rule):
-        assert lint_source(rule.example_good) == []
+        assert lint_source(fixture(rule, "good").read_text()) == []
 
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     def test_cli_exits_1_on_each_bad_fixture(self, rule, capsys):
-        bad_file = FIXTURES / f"{rule.id.lower()}_bad.py"
-        assert main(["lint", str(bad_file)]) == 1
+        assert main(["lint", str(fixture(rule, "bad"))]) == 1
         out = capsys.readouterr().out
         assert rule.id in out
         assert rule.name in out
 
     def test_cli_exits_0_on_the_good_fixtures(self, capsys):
-        good = [str(FIXTURES / f"{rule.id.lower()}_good.py") for rule in RULES]
+        good = [str(fixture(rule, "good")) for rule in RULES]
         assert main(["lint", *good]) == 0
         assert "clean" in capsys.readouterr().out
 
@@ -118,10 +129,11 @@ class TestPragmas:
         # The bare pragma suppresses nothing and is reported itself.
         assert rules == {PRAGMA_RULE_ID, "D101"}
 
-    def test_pragma_with_unknown_rule_id_is_a_finding(self):
+    @pytest.mark.parametrize("rule_id", ("D999", *RETIRED_RULE_IDS))
+    def test_pragma_with_unknown_rule_id_is_a_finding(self, rule_id):
         source = BAD_SNIPPET.replace(
             "random.random()",
-            "random.random()  # repro: lint-ok[D999] not a rule",
+            f"random.random()  # repro: lint-ok[{rule_id}] not a rule",
         )
         rules = {f.rule for f in lint_source(source)}
         assert rules == {PRAGMA_RULE_ID, "D101"}
@@ -164,11 +176,12 @@ class TestSelection:
         assert {f.rule for f in lint_source(BAD_SNIPPET, select=("P",))} == set()
         assert {f.rule for f in lint_source(BAD_SNIPPET, select=("D",))} == {"D101"}
 
-    def test_unknown_rule_raises_value_error(self):
-        with pytest.raises(ValueError, match="BOGUS"):
-            resolve_rule_selection(("BOGUS",), None)
-        with pytest.raises(ValueError, match="--ignore"):
-            resolve_rule_selection(None, ("D999",))
+    @pytest.mark.parametrize("rule_id", ("BOGUS", *RETIRED_RULE_IDS))
+    def test_unknown_rule_raises_value_error(self, rule_id):
+        with pytest.raises(ValueError, match=f"--select: unknown rule '{rule_id}'"):
+            resolve_rule_selection((rule_id,), None)
+        with pytest.raises(ValueError, match=f"--ignore: unknown rule '{rule_id}'"):
+            resolve_rule_selection(None, (rule_id,))
 
     def test_syntax_error_is_a_finding_not_a_crash(self):
         findings = lint_source("def broken(:\n")
@@ -268,6 +281,7 @@ class TestLintCLI:
     def test_usage_errors_exit_2(self, capsys):
         assert main(["lint"]) == 2
         assert main(["lint", "--select", "BOGUS", str(FIXTURES)]) == 2
+        assert main(["lint", "--ignore", "D104", str(FIXTURES)]) == 2
         assert main(["lint", "/no/such/path"]) == 2
         capsys.readouterr()
 
@@ -294,7 +308,7 @@ class TestLintCLI:
         assert all(entry["summary"] for entry in catalog)
 
     def test_json_schema_round_trips(self, capsys):
-        bad = str(FIXTURES / "d104_bad.py")
+        bad = str(FIXTURES / "d103_bad.py")
         assert main(["lint", bad, "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["version"] == 1
@@ -303,7 +317,7 @@ class TestLintCLI:
         for raw in data["findings"]:
             finding = Finding.from_dict(raw)
             assert finding.to_dict() == raw
-            assert finding.rule == "D104"
+            assert finding.rule == "D103"
 
     def test_clean_cli_run_writes_nothing_to_stderr(self, capsys):
         good = str(FIXTURES / "d101_good.py")
@@ -331,11 +345,11 @@ class TestLintCLI:
     def test_cli_subprocess_end_to_end(self):
         # One real process: the CI job invokes the same entry point.
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", str(FIXTURES / "p203_bad.py")],
+            [sys.executable, "-m", "repro", "lint", str(FIXTURES / "d101_bad.py")],
             capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert result.returncode == 1
-        assert "P203" in result.stdout
+        assert "D101" in result.stdout
 
 
 # ----------------------------------------------------------------------
@@ -427,11 +441,6 @@ class TestPluginsMode:
 # cross-pins against the live system
 # ----------------------------------------------------------------------
 class TestCrossPins:
-    def test_row_fields_snapshot_matches_experiments(self):
-        from repro.sim.experiments import ROW_FIELDS
-
-        assert ROW_FIELDS_SNAPSHOT == ROW_FIELDS
-
     def test_rule_ids_are_unique_and_well_formed(self):
         assert len(RULE_IDS) == len(set(RULE_IDS))
         for rule in RULES:

@@ -1,40 +1,32 @@
-"""The lint census's catches, pinned: each mutation still fires its rule.
+"""The lint census's catches, pinned: each mutation is still caught.
 
 DESIGN.md's "Lint census" seeded 31 bug-class mutations into the real
-modules.  In the rows below a per-file rule fired.  Each case applies the
-row's edits to the module's current source and lints the result, so a
-rule change that loses one of those catches fails here.  An anchor that
-no longer matches fails with the anchor text: move the row along with the
-code it anchors in.
+modules.  Each case below applies one row's edits to the module's current
+source.  Where a kept rule fired, the case lints the result and requires
+the rule to fire again.  Where the rule that fired was deleted because
+tier-1 also caught the row, the case runs that tier-1 test on a mutated
+copy of the tree and requires it to fail, so the census's reason for each
+deletion stays true.  An anchor that no longer matches fails with the
+anchor text: move the row along with the code it anchors in.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.lint import lint_source
+from repro.sim.kernels import numpy_or_none
 
-SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
+REPO = Path(__file__).parent.parent
+SRC_REPRO = REPO / "src" / "repro"
 
 #: Census row -> (mutation, module under src/repro, rules that must fire on
 #: a line the edits wrote, [(anchor, replacement), ...]).
 CENSUS = {
-    3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py', ('P203',), [
-        ('return random.Random(seed).sample(nodes',
-         'return random.Random(0).sample(nodes'),
-    ]),
-    4: ('_source_node uses random.Random(0)', 'api/drivers.py', ('P203',), [
-        ('return nodes[random.Random(seed).randrange',
-         'return nodes[random.Random(0).randrange'),
-    ]),
-    6: ('APSP delays drawn from random.Random(0)', 'core/apsp.py', ('P203',), [
-        ('    rng = random.Random(seed)\n    delays',
-         '    rng = random.Random(0)\n    delays'),
-    ]),
-    7: ('random_connected_graph uses random.Random(0)', 'graphs/generators.py', ('P203',), [
-        ('    rng = random.Random(seed)\n    graph = random_tree(',
-         '    rng = random.Random(0)\n    graph = random_tree('),
-    ]),
     8: ('_source_node reseeds the global RNG and draws from it', 'api/drivers.py', ('D101', 'D102'), [
         ('    return nodes[random.Random(seed).randrange(len(nodes))]',
          '    random.seed(seed)\n    return nodes[random.randrange(len(nodes))]'),
@@ -50,10 +42,6 @@ CENSUS = {
     11: ('crash_plan samples victims from set order', 'sim/faults.py', ('D103',), [
         ('        pool = sorted(labels, key=repr)',
          '        pool = list(set(labels))'),
-    ]),
-    13: ('scenario_digest drops sort_keys=True', 'sim/experiments.py', ('D104',), [
-        ('payload = json.dumps(payload_dict, sort_keys=True)',
-         'payload = json.dumps(payload_dict)'),
     ]),
     14: ('scenario_digest hashes the params in set order', 'sim/experiments.py', ('D103',), [
         ('"params": {str(k): v for k, v in dict(scenario.params).items()},',
@@ -79,31 +67,72 @@ CENSUS = {
         ('    from ..core import apsp\n\n',
          '    from ..core import apsp\n    import os\n\n    capacity_log_factor = int(os.environ.get("REPRO_APSP_CAPACITY", capacity_log_factor))\n'),
     ]),
-    19: ('_source_node sorts nodes by id()', 'api/drivers.py', ('D106',), [
-        ('    nodes = sorted(graph.nodes(), key=repr)\n    return nodes[random.Random(seed).randrange',
-         '    nodes = sorted(graph.nodes(), key=id)\n    return nodes[random.Random(seed).randrange'),
-    ]),
-    20: ('Bellman-Ford sorts its inbox payloads in place', 'baselines/bellman_ford.py', ('P201',), [
-        ('            dist = self.dist\n            for sender, estimate in zip(inbox.senders, inbox.payloads):',
-         '            dist = self.dist\n            inbox.payloads.sort()\n            for sender, estimate in zip(inbox.senders, inbox.payloads):'),
-    ]),
     21: ('_DistanceExchange keeps ctx on self and broadcasts through it', 'core/paths.py', ('P202',), [
         ('        if ctx.round == 0:\n            if self.dist != INFINITY:\n                ctx.broadcast(self.dist)',
          '        self._ctx = ctx\n        if ctx.round == 0:\n            if self.dist != INFINITY:\n                self._ctx.broadcast(self.dist)'),
     ]),
-    22: ('labeled-bfs/grid registers a tuple-valued param', 'sim/experiments.py', ('P204',), [
+}
+
+_SEED_REACHES = "tests/test_driver_catalog.py::TestSeedVariation::test_driver_seed_reaches_the_run"
+
+#: Census row -> (mutation, module under src/repro, the cheapest tier-1 test
+#: that fails on it, [(anchor, replacement), ...]) for the rows whose rule
+#: (named in the comment) was deleted.
+CAUGHT_AT_RUN_TIME = {
+    3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py',  # P203
+        f'{_SEED_REACHES}[labeled-bfs/grid]', [
+        ('return random.Random(seed).sample(nodes',
+         'return random.Random(0).sample(nodes'),
+    ]),
+    4: ('_source_node uses random.Random(0)', 'api/drivers.py',  # P203
+        f'{_SEED_REACHES}[bellman-ford/er]', [
+        ('return nodes[random.Random(seed).randrange',
+         'return nodes[random.Random(0).randrange'),
+    ]),
+    6: ('APSP delays drawn from random.Random(0)', 'core/apsp.py',  # P203
+        f'{_SEED_REACHES}[apsp/er]', [
+        ('    rng = random.Random(seed)\n    delays',
+         '    rng = random.Random(0)\n    delays'),
+    ]),
+    7: ('random_connected_graph uses random.Random(0)', 'graphs/generators.py',  # P203
+        'tests/test_energy_cssp.py::TestCoverMemo::test_memo_matches_fresh_constructions[er-seed0]', [
+        ('    rng = random.Random(seed)\n    graph = random_tree(',
+         '    rng = random.Random(0)\n    graph = random_tree('),
+    ]),
+    13: ('scenario_digest drops sort_keys=True', 'sim/experiments.py',  # D104
+         'tests/test_driver_catalog.py::TestParamsAwareResume::test_digest_ignores_param_order', [
+        ('payload = json.dumps(payload_dict, sort_keys=True)',
+         'payload = json.dumps(payload_dict)'),
+    ]),
+    19: ('_source_node sorts nodes by id()', 'api/drivers.py',  # D106
+         'tests/test_energy_cssp.py::TestCoverMemo::test_pinned_instance_builds_each_distinct_input_once', [
+        ('    nodes = sorted(graph.nodes(), key=repr)\n    return nodes[random.Random(seed).randrange',
+         '    nodes = sorted(graph.nodes(), key=id)\n    return nodes[random.Random(seed).randrange'),
+    ]),
+    20: ('Bellman-Ford sorts its inbox payloads in place', 'baselines/bellman_ford.py',  # P201
+         f'{_SEED_REACHES}[bellman-ford/er@drop5]', [
+        ('            dist = self.dist\n            for sender, estimate in zip(inbox.senders, inbox.payloads):',
+         '            dist = self.dist\n            inbox.payloads.sort()\n            for sender, estimate in zip(inbox.senders, inbox.payloads):'),
+    ]),
+    22: ('labeled-bfs/grid registers a tuple-valued param', 'sim/experiments.py',  # P204
+         'tests/test_api_specs.py', [  # the registry raises on import: no test collects
         ('    Scenario("labeled-bfs/grid", "grid", "labeled-bfs", max_weight=9,\n',
          '    Scenario("labeled-bfs/grid", "grid", "labeled-bfs", max_weight=9,\n             params=(("num_sources", (3,)),),\n'),
     ]),
-    23: ('drive_boruvka returns a column named like a core row field', 'api/drivers.py', ('P205',), [
+    23: ('drive_boruvka returns a column named like a core row field', 'api/drivers.py',  # P205
+         'tests/test_driver_catalog.py::TestCatalogDifferential::test_driver_passes_its_oracle[boruvka-tree]', [
         ('    return {"forest_weight": weight, "mst_weight": expected}',
          '    return {"forest_weight": weight, "mst_weight": expected, "n": graph.num_nodes}'),
     ]),
-    24: ('WeightedBFS kernel reverses its awake column in place', 'core/bfs.py', ('P206',), [
+    24: ('WeightedBFS kernel reverses its awake column in place', 'core/bfs.py',  # P206
+         'tests/test_kernels.py::TestBackendParity::test_event_engine_stores_are_byte_identical', [
         ('        codes = []\n        append = codes.append\n        for i in awake:',
          '        codes = []\n        append = codes.append\n        awake.reverse()\n        for i in awake:'),
     ]),
 }
+
+#: Rows that only a batch kernel can show: without numpy no kernel runs.
+NEEDS_NUMPY = {24}
 
 
 def mutate(source: str, edits: list) -> tuple:
@@ -130,3 +159,55 @@ def test_census_mutation_fires_its_rule(row):
     source, written = mutate((SRC_REPRO / module).read_text(encoding="utf-8"), edits)
     fired = {f.rule for f in lint_source(source, path=path) if f.line in written}
     assert set(rules) <= fired, f"row {row} ({path}): {sorted(fired)}"
+
+
+def copy_tree(root: Path) -> None:
+    """Copy ``src/``, ``tests/`` and ``pyproject.toml`` under ``root``.
+
+    The whole tree, pyproject.toml included: its ``pythonpath = ["src"]``
+    must put the copy's source first, not this checkout's.
+    """
+    for part in ("src", "tests"):
+        shutil.copytree(REPO / part, root / part)
+    shutil.copy2(REPO / "pyproject.toml", root)
+
+
+#: Plugins no catcher uses, off because loading them costs about a second
+#: per run (naming one that is not installed is harmless).
+UNUSED_PLUGINS = ("-p", "no:hypothesispytest", "-p", "no:benchmark")
+
+
+def run_tier1(root: Path, *nodeids: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *UNUSED_PLUGINS, *nodeids],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+
+
+def test_tier1_catchers_pass_on_a_clean_copy(tmp_path):
+    # Control for the case below: in an unmutated copy every catcher
+    # passes, so a failure there is the mutation's doing, not the copy's.
+    copy_tree(tmp_path)
+    catchers = [
+        catcher for row, (_what, _module, catcher, _edits) in sorted(CAUGHT_AT_RUN_TIME.items())
+        if row not in NEEDS_NUMPY or numpy_or_none() is not None
+    ]
+    result = run_tier1(tmp_path, *catchers)
+    assert result.returncode == 0, result.stdout[-2000:]
+
+
+@pytest.mark.parametrize("row", sorted(CAUGHT_AT_RUN_TIME), ids=lambda row: f"row{row:02d}")
+def test_census_mutation_fails_its_tier1_test(row, tmp_path):
+    what, module, catcher, edits = CAUGHT_AT_RUN_TIME[row]
+    if row in NEEDS_NUMPY and numpy_or_none() is None:
+        pytest.skip("no numpy: no batch kernel runs, so the mutation cannot show")
+    copy_tree(tmp_path)
+    target = tmp_path / "src" / "repro" / module
+    target.write_text(mutate(target.read_text(encoding="utf-8"), edits)[0], encoding="utf-8")
+    result = run_tier1(tmp_path, catcher)
+    # 1: the test failed; 2: its module no longer imports.  Anything else
+    # (0: it passed, 4: no such test) means the catch is gone.
+    assert result.returncode in (1, 2), f"row {row} ({what}):\n{result.stdout[-2000:]}"
