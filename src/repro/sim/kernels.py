@@ -7,7 +7,10 @@ lifts that boundary: for a protocol that opts in, the engine hands the
 kernel the *whole round* — the sorted awake index list, the per-node inbox
 columns, and the engine's own outbox columns — and the kernel returns one
 wake code per awake node.  The engine then applies those codes with exactly
-the scheduling logic of the scalar path.
+the scheduling logic of the scalar path.  When every code of the round is
+the same (``codes.count(codes[0]) == len(codes)``, the common case), it
+books the whole awake list at once: one ``extend`` into the target round's
+bucket, or one halt mark per node.  Mixed codes are applied node by node.
 
 The contract is **metering parity**: a kernel round must leave every
 observable — message counts, per-edge counters, wake/energy accounting,
@@ -150,7 +153,7 @@ class BatchKernel:
     ):
         """Step every node in ``awake`` for round ``r``.
 
-        Returns a list of wake codes aligned with ``awake``, or ``None``
+        Returns a ``list`` of wake codes aligned with ``awake``, or ``None``
         to decline the round (the engine then runs the scalar path; the
         kernel must not have mutated anything before declining).
         """

@@ -43,8 +43,10 @@ flat parallel arrays, not per-message objects.
 * the outbox is a pair of parallel lists ``(port_id, payload)`` — a unicast
   send appends one integer and one payload, no tuple is built;
 * :meth:`Context.broadcast` is a fast path: a single ``(src_index,
-  payload)`` record that the delivery phase expands over the node's CSR
-  port slice — not ``degree`` individual sends;
+  payload)`` record, not ``degree`` individual sends.  After the round's
+  capacity check, each record is expanded over the node's CSR port slice
+  into the unicast columns with C-level ``extend(range)`` and
+  ``extend(repeat)``, so one inline loop delivers every message;
 * delivery writes into reusable per-node :class:`Inbox` buffers (parallel
   ``senders`` / ``payloads`` lists cleared by truncation after each node
   steps), with sender labels taken from a precomputed per-port label table
@@ -52,7 +54,8 @@ flat parallel arrays, not per-message objects.
 * the wake schedule is a heap of *distinct pending rounds* over per-round
   integer buckets, so quiet stretches between wakes are skipped outright
   (a round is pushed once when its bucket is created — no per-node heap
-  churn);
+  churn); a kernel round whose nodes all return one wake code books its
+  whole awake list into one bucket with one ``extend``;
 * edge capacity is checked once per delivery round over the outbox port
   and broadcast columns, whether scalar steps or a batch kernel filled
   them; a round within capacity costs a few C-level set or ``Counter``
@@ -68,8 +71,11 @@ execution as delivering at ``r + 1``.  Under any other model the message
 is parked in a per-arrival-time slot (parallel port and payload lists)
 and moved into the inbox at its arrival time, before that time's wakes
 run.  Every accumulator, :class:`Metrics` subclasses included, is metered
-in bulk through deferred folds under every latency model and fault
-plane; the engine makes no ``record_send`` or ``record_awake`` call.
+in bulk under every latency model and fault plane: the run logs wake
+indices and port ids, and folds each log in one C-level count
+(``collections._count_elements``) through the label table and the cached
+:meth:`~repro.graphs.IndexedGraph.port_pairs` table.  The engine makes no
+``record_send`` or ``record_awake`` call.
 An opt-in send trace is not folded at all: a traced run extends a port
 column and a round column per delivery round, and a round column and an
 awake-count column per active round, and hands them to the
@@ -94,7 +100,7 @@ from __future__ import annotations
 import copy
 import enum
 from array import array
-from collections import Counter
+from collections import Counter, _count_elements
 from heapq import heappop, heappush
 from itertools import repeat
 
@@ -127,22 +133,11 @@ _LOG_FOLD = 1 << 20
 
 
 def _fold_wakes(awake_rounds: Counter, wake_log: list, labels: list, width: int) -> None:
+    if width == 1:
+        _count_elements(awake_rounds, map(labels.__getitem__, wake_log))
+        return
     for i, count in Counter(wake_log).items():
         awake_rounds[labels[i]] += count * width
-
-
-def _fold_ports(edge_messages: Counter, port_log: list, port_src: list,
-                labels: list, nbr: list) -> None:
-    for port_id, count in Counter(port_log).items():
-        edge_messages[(port_src[port_id], labels[nbr[port_id]])] += count
-
-
-def _fold_bcasts(edge_messages: Counter, bcast_log: list, labels: list,
-                 nbr: list, indptr: list) -> None:
-    for src_i, count in Counter(bcast_log).items():
-        sender = labels[src_i]
-        for port_id in range(indptr[src_i], indptr[src_i + 1]):
-            edge_messages[(sender, labels[nbr[port_id]])] += count
 
 
 def _check_capacity(r: int, cap: int, out_ports: list, bcast_src: list,
@@ -510,6 +505,7 @@ class Runner:
         nbr = indexed.nbr
         indptr = indexed.indptr
         port_src = indexed.port_src_labels()
+        port_pairs = indexed.port_pairs()
         contexts = self._contexts_by_index
         if contexts and contexts[0]._runner is not self:
             # Our pooled state was checked out by a runner created after us
@@ -599,73 +595,8 @@ class Runner:
         # on Theta(mn)-message workloads.
         wake_log: list[int] = []
         port_log: list[int] = []
-        bcast_log: list[int] = []
-        # Per-round state of deliver(): fault-draw occurrence counters and
-        # the cached wake bucket of the next round.
+        # Fault-draw occurrence counters of the delivery round.
         occ: dict[int, int] = {}
-        r = nxt_round = 0
-        nxt_bucket = None
-
-        def deliver(port_id: int, src: object, payload: object, lane: int) -> None:
-            """Resolve one send of round ``r``: fault draws, metering, routing.
-
-            Draws are keyed by (seed, kind, edge, send round, occurrence
-            index) with occurrences counted in send order, so a faulted run
-            draws the same faults under every latency model.
-            """
-            nonlocal nxt_bucket
-            dst_i = nbr[port_id]
-            if plane is not None:
-                dst = labels[dst_i]
-                k = occ.get(port_id, 0)
-                occ[port_id] = k + 1
-                if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
-                    metrics.messages_dropped += 1
-                    return
-            halted = contexts[dst_i]._halted
-            # A sleeping-model message reaches its target only if the target
-            # was awake in the round it was sent (Sec 1.2); a CONGEST
-            # message is never lost, and a halted node discards it silently.
-            delivered = not sleeping or (awake_stamp[dst_i] == r and not halted)
-            if not delivered:
-                metrics.lost_messages += 1
-            if not delivered or halted:
-                return
-            # The duplicate lands right after the original — a fault
-            # artifact outside the capacity and message-complexity metering.
-            dup = plane is not None and plane.duplicate_message(src, dst, r, k)
-            if dup:
-                metrics.record_duplicated(src, dst)
-            if delays is not None:
-                arrival = r + delays[port_id]
-                slot = parked.get(arrival)
-                if slot is None:
-                    slot = parked[arrival] = [[], [], [], []]
-                    if arrival not in buckets:
-                        buckets[arrival] = []
-                        heappush(heap, arrival)
-                ports, payloads = slot[lane], slot[lane + 1]
-                ports.append(port_id)
-                payloads.append(payload)
-                if dup:
-                    ports.append(port_id)
-                    payloads.append(payload)
-                return
-            box = inboxes[dst_i]
-            box.senders.append(src)
-            box.payloads.append(payload)
-            if dup:
-                box.senders.append(src)
-                box.payloads.append(payload)
-            if not sleeping:
-                cur = next_wake[dst_i]
-                if cur == _NONE or cur > nxt_round:
-                    next_wake[dst_i] = nxt_round
-                    if nxt_bucket is None:
-                        nxt_bucket = buckets[nxt_round] = [dst_i]
-                        heappush(heap, nxt_round)
-                    else:
-                        nxt_bucket.append(dst_i)
 
         while heap:
             r = heappop(heap)
@@ -770,29 +701,47 @@ class Runner:
                 # same scheduling logic as the scalar loop below.  The
                 # kernel's sends sit in the outbox columns, where the
                 # delivery phase checks their capacity like scalar sends.
-                for k, i in enumerate(awake):
+                for i in awake:
                     if sleeping:
                         awake_stamp[i] = r
                     box = inboxes[i]
                     if box.senders:
                         box.senders.clear()
                         box.payloads.clear()
-                    wake = codes[k]
-                    if wake == WAKE_NEXT:
-                        s = nxt_round
-                    elif wake >= 0:
-                        s = wake
-                    else:
-                        if wake == WAKE_HALT:
+                wake = codes[0]
+                if codes.count(wake) == len(codes):
+                    # One code for the whole round, the common case: the
+                    # awake list (this round's own) is booked as one bucket.
+                    if wake == WAKE_NEXT or wake >= 0:
+                        s = nxt_round if wake == WAKE_NEXT else wake
+                        for i in awake:
+                            next_wake[i] = s
+                        slot_bucket = buckets.get(s)
+                        if slot_bucket is None:
+                            buckets[s] = awake
+                            heappush(heap, s)
+                        else:
+                            slot_bucket.extend(awake)
+                    elif wake == WAKE_HALT:
+                        for i in awake:
                             contexts[i]._halted = True
-                        continue  # halted or idle: no wake scheduled
-                    next_wake[i] = s
-                    slot_bucket = buckets.get(s)
-                    if slot_bucket is None:
-                        buckets[s] = [i]
-                        heappush(heap, s)
-                    else:
-                        slot_bucket.append(i)
+                else:
+                    for i, wake in zip(awake, codes):
+                        if wake == WAKE_NEXT:
+                            s = nxt_round
+                        elif wake >= 0:
+                            s = wake
+                        else:
+                            if wake == WAKE_HALT:
+                                contexts[i]._halted = True
+                            continue  # halted or idle: no wake scheduled
+                        next_wake[i] = s
+                        slot_bucket = buckets.get(s)
+                        if slot_bucket is None:
+                            buckets[s] = [i]
+                            heappush(heap, s)
+                        else:
+                            slot_bucket.append(i)
                 awake = ()  # the kernel stepped the whole round
             for i in awake:
                 if sleeping:
@@ -827,36 +776,88 @@ class Runner:
                 if bcast_src or len(out_ports) > cap:
                     _check_capacity(r, cap, out_ports, bcast_src, port_src,
                                     labels, nbr, indptr)
+                # Expand each broadcast over its sender's port slice: the
+                # round's sends become one port column and one payload
+                # column, unicasts first, then broadcasts, each in send order.
+                unicasts = len(out_ports)
+                if bcast_src:
+                    for src_i, payload in zip(bcast_src, bcast_payloads):
+                        lo, hi = indptr[src_i], indptr[src_i + 1]
+                        out_ports.extend(range(lo, hi))
+                        out_payloads.extend(repeat(payload, hi - lo))
+                    bcast_src.clear()
+                    bcast_payloads.clear()
                 sent = len(out_ports)
-                for src_i in bcast_src:
-                    sent += indptr[src_i + 1] - indptr[src_i]
                 metrics.total_messages += sent
                 port_log.extend(out_ports)
-                bcast_log.extend(bcast_src)
                 if trace is not None:
                     trace_ports.extend(out_ports)
-                    for src_i in bcast_src:
-                        trace_ports.extend(range(indptr[src_i], indptr[src_i + 1]))
                     trace_rounds.extend(repeat(r, sent))
                 nxt_bucket = buckets.get(nxt_round)
                 if plane is not None:
                     occ.clear()
-                for port_id, payload in zip(out_ports, out_payloads):
-                    deliver(port_id, port_src[port_id], payload, 0)
-                for src_i, payload in zip(bcast_src, bcast_payloads):
-                    sender = labels[src_i]
-                    for port_id in range(indptr[src_i], indptr[src_i + 1]):
-                        deliver(port_id, sender, payload, 2)
+                # Resolve each send: fault draws, loss, routing.  A draw's key
+                # counts occurrences in send order (see repro.sim.faults), so
+                # a faulted run draws the same faults under every latency model.
+                for j, (port_id, payload) in enumerate(zip(out_ports, out_payloads)):
+                    dst_i = nbr[port_id]
+                    src = port_src[port_id]
+                    if plane is not None:
+                        dst = labels[dst_i]
+                        k = occ.get(port_id, 0)
+                        occ[port_id] = k + 1
+                        if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
+                            metrics.messages_dropped += 1
+                            continue
+                    # A sleeping-model message reaches its target only if the
+                    # target was awake in the round it was sent (Sec 1.2); a
+                    # CONGEST message is never lost, and a halted node
+                    # discards it silently.
+                    if contexts[dst_i]._halted or (sleeping and awake_stamp[dst_i] != r):
+                        if sleeping:
+                            metrics.lost_messages += 1
+                        continue
+                    # The duplicate lands right after the original — a fault
+                    # artifact outside the capacity and message metering.
+                    dup = plane is not None and plane.duplicate_message(src, dst, r, k)
+                    if dup:
+                        metrics.record_duplicated(src, dst)
+                    if delays is not None:
+                        arrival = r + delays[port_id]
+                        slot = parked.get(arrival)
+                        if slot is None:
+                            slot = parked[arrival] = [[], [], [], []]
+                            if arrival not in buckets:
+                                buckets[arrival] = []
+                                heappush(heap, arrival)
+                        lane = 0 if j < unicasts else 2
+                        ports, payloads = slot[lane], slot[lane + 1]
+                        ports.append(port_id)
+                        payloads.append(payload)
+                        if dup:
+                            ports.append(port_id)
+                            payloads.append(payload)
+                        continue
+                    box = inboxes[dst_i]
+                    box.senders.append(src)
+                    box.payloads.append(payload)
+                    if dup:
+                        box.senders.append(src)
+                        box.payloads.append(payload)
+                    if not sleeping:
+                        cur = next_wake[dst_i]
+                        if cur == _NONE or cur > nxt_round:
+                            next_wake[dst_i] = nxt_round
+                            if nxt_bucket is None:
+                                nxt_bucket = buckets[nxt_round] = [dst_i]
+                                heappush(heap, nxt_round)
+                            else:
+                                nxt_bucket.append(dst_i)
                 out_ports.clear()
                 out_payloads.clear()
-                bcast_src.clear()
-                bcast_payloads.clear()
                 if len(port_log) >= _LOG_FOLD:
-                    _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
+                    _count_elements(metrics.edge_messages, map(port_pairs.__getitem__, port_log))
                     port_log.clear()
-                if len(bcast_log) >= _LOG_FOLD:
-                    _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
-                    bcast_log.clear()
                 if message_budget is not None:
                     # Budgets bound work; they do not tear messages, so the
                     # round's batch resolves whole before the stop.
@@ -884,19 +885,16 @@ class Runner:
             # Kernels that mirror instance state in their own columns write
             # it back here — drivers read results off the instances.
             kernel.finalize()
-        # Final fold of the deferred logs (see _fold_* above): counting
-        # happens in C over plain integer columns, and label pairs are
-        # materialized once per *distinct* port/source, not per message.
+        # Final fold of the deferred logs: one C-level count each, through
+        # the label and port-pair tables; no per-message label objects.
         if wake_log:
             _fold_wakes(metrics.awake_rounds, wake_log, labels, self.round_width)
         if port_log:
-            _fold_ports(metrics.edge_messages, port_log, port_src, labels, nbr)
-        if bcast_log:
-            _fold_bcasts(metrics.edge_messages, bcast_log, labels, nbr, indptr)
+            _count_elements(metrics.edge_messages, map(port_pairs.__getitem__, port_log))
         if trace is not None:
             # Before record_rounds below: metrics.rounds is still the clock
             # this run started at.
-            trace.add(metrics.rounds, indexed.port_pairs(), trace_ports, trace_rounds)
+            trace.add(metrics.rounds, port_pairs, trace_ports, trace_rounds)
             trace.add_wakes(metrics.rounds, wake_rounds, wake_counts)
         final_time = (last_round + 1) * self.round_width
         metrics.record_rounds(final_time)

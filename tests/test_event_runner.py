@@ -595,3 +595,59 @@ def test_metering_matches_the_protocol_ledger_under_latency(latency, mode, fault
     if faults is not None:
         assert metrics.messages_dropped > 0
         assert metrics.messages_duplicated > 0
+
+
+class LaneOrder(NodeAlgorithm):
+    """Broadcasts, then unicasts, in each of rounds 0-2; then idles.
+
+    Payloads are ``(lane, send round, sender index)`` with lane 0 for a
+    unicast and 1 for a broadcast, so the inbox order DESIGN.md states
+    (at one arrival time, unicasts before broadcasts, each in send order)
+    is the payloads' sorted order.  Each step's inbox goes to ``seen``.
+    """
+
+    def __init__(self, index, seen):
+        self.index = index
+        self.seen = seen
+
+    def on_round(self, ctx, inbox):
+        self.seen.append(list(inbox))
+        if ctx.round >= 3:
+            ctx.idle()
+            return
+        ctx.broadcast((1, ctx.round, self.index))
+        ctx.send(ctx.neighbors[self.index % ctx.degree], (0, ctx.round, self.index))
+
+
+@pytest.mark.parametrize("latency, faults", [
+    ("uniform:2", None), ("random:3", None), ("random:3", "dup:0.5"),
+])
+def test_parked_inbox_order_is_unicasts_then_broadcasts(latency, faults):
+    g = graphs.random_connected_graph(12, extra_edge_prob=0.3, seed=4)
+    labels = IndexedGraph.of(g).labels
+    seen = []
+    metrics = EventRunner(
+        g, {u: LaneOrder(i, seen) for i, u in enumerate(labels)}, Mode.CONGEST,
+        edge_capacity=2, latency=parse_latency_model(latency, seed=4),
+        faults=parse_fault_model(faults, seed=4),
+    ).run()
+    crossed = adjacent_dups = 0
+    for inbox in seen:
+        keys = [payload for _sender, payload in inbox]
+        assert [sender for sender, _ in inbox] == [labels[key[2]] for key in keys]
+        # Sorted: unicasts first, then by send round and sender index.  A
+        # duplicate equals its original, so it must sit right after it.
+        assert keys == sorted(keys)
+        adjacent_dups += sum(a == b for a, b in zip(keys, keys[1:]))
+        unicast_rounds = [t for lane, t, _ in keys if lane == 0]
+        broadcast_rounds = [t for lane, t, _ in keys if lane == 1]
+        if unicast_rounds and broadcast_rounds and max(unicast_rounds) > min(broadcast_rounds):
+            crossed += 1
+    assert sum(map(len, seen)) == metrics.total_messages + metrics.messages_duplicated
+    assert adjacent_dups == metrics.messages_duplicated
+    if faults is not None:
+        assert metrics.messages_duplicated > 0
+    if latency.startswith("random"):
+        # A later round's unicast lands with an earlier round's broadcast
+        # and still comes first: lane order, not send-round order.
+        assert crossed > 0

@@ -15,10 +15,13 @@ import pytest
 from repro import graphs
 from repro.api import SweepSpec, run_sweep_spec
 from repro.core.bfs import WeightedBFS
+from repro.graphs.indexed import IndexedGraph
 from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, SimulationError
 from repro.sim import kernels
 from repro.sim.kernels import (
     WAKE_HALT,
+    WAKE_IDLE,
+    WAKE_NEXT,
     BatchKernel,
     available_backends,
     current_backend,
@@ -147,6 +150,122 @@ class TestKernelGates:
                 source_offset=0 if u == 0 else None) for u in g.nodes()}
         with use_backend("numpy"):
             assert kernel_for(Runner(g, algs, Mode.CONGEST)) is None
+
+
+# ----------------------------------------------------------------------
+# wake-code booking: one code for a whole round, or mixed codes
+# ----------------------------------------------------------------------
+def _script(r, index):
+    """``(wake code, unicast?, broadcast?)`` of node ``index`` at round ``r``.
+
+    Rounds 0, 1, 4, 5 and 6/8 give every awake node one code (next,
+    absolute, absolute into an existing bucket, idle, halt); round 3 mixes
+    all of them.  The halting rounds broadcast, so a node that failed to
+    halt would hear them.  CONGEST wakes receivers on arrival, so its awake
+    sets differ from SLEEPING's; each mode still meets every kind.
+    """
+    if r == 0:
+        return WAKE_NEXT, False, True
+    if r == 1:
+        return 3, False, False
+    if r == 3:
+        return (WAKE_NEXT, 5, WAKE_IDLE, WAKE_HALT, 8)[index % 5], True, False
+    if r == 4:
+        return 5, False, False
+    if r in (6, 8):
+        return WAKE_HALT, False, True
+    return WAKE_IDLE, False, r == 5
+
+
+def _kind(codes):
+    if len(set(codes)) > 1:
+        return "mixed"
+    return {WAKE_NEXT: "next", WAKE_IDLE: "idle", WAKE_HALT: "halt"}.get(codes[0], "absolute")
+
+
+class _ScriptKernel(BatchKernel):
+    """The batch twin of :class:`_Scripted`; logs each round's code kind."""
+
+    def __init__(self, runner):
+        self.algs = runner._algorithms_by_index
+        self.indptr = runner.indexed.indptr
+        self.kinds = []
+
+    def on_round_batch(self, r, awake, inboxes,
+                       out_ports, out_payloads, bcast_src, bcast_payloads):
+        codes = []
+        for i in awake:
+            alg = self.algs[i]
+            alg.steps.append((r, list(inboxes[i])))
+            code, unicast, broadcast = _script(r, i)
+            if unicast:
+                out_ports.append(self.indptr[i])
+                out_payloads.append(("u", r, i))
+            if broadcast:
+                bcast_src.append(i)
+                bcast_payloads.append(("b", r, i))
+            codes.append(code)
+        self.kinds.append(_kind(codes))
+        return codes
+
+
+class _Scripted(NodeAlgorithm):
+    kernels = []
+
+    def __init__(self, index):
+        self.index = index
+        self.steps = []
+
+    def on_round(self, ctx, inbox):
+        r = ctx.round
+        self.steps.append((r, list(inbox)))
+        code, unicast, broadcast = _script(r, self.index)
+        if unicast:
+            ctx.send(ctx.neighbors[0], ("u", r, self.index))
+        if broadcast:
+            ctx.broadcast(("b", r, self.index))
+        if code == WAKE_HALT:
+            ctx.halt()
+        elif code == WAKE_IDLE:
+            ctx.idle()
+        elif code >= 0:
+            ctx.wake_at(code)
+
+    @classmethod
+    def batch_kernel(cls, runner):
+        kernel = _ScriptKernel(runner)
+        cls.kernels.append(kernel)
+        return kernel
+
+
+class TestWakeCodeBooking:
+    """A round whose codes all agree is booked in bulk; it must equal the
+    scalar path node for node, as must a round of mixed codes."""
+
+    @staticmethod
+    def _run(mode, backend):
+        g = graphs.random_connected_graph(23, extra_edge_prob=0.15, seed=2)
+        labels = IndexedGraph.of(g).labels
+        algs = {u: _Scripted(i) for i, u in enumerate(labels)}
+        metrics = Metrics()
+        _Scripted.kernels.clear()
+        with use_backend(backend):
+            Runner(g, algs, mode, metrics=metrics).run()
+        kinds = [kind for kernel in _Scripted.kernels for kind in kernel.kinds]
+        return metrics.to_dict(), {u: a.steps for u, a in algs.items()}, kinds
+
+    @pytest.mark.parametrize("mode", [Mode.CONGEST, Mode.SLEEPING])
+    def test_bulk_and_mixed_codes_match_the_scalar_path(self, mode):
+        if kernels.numpy_or_none() is None:
+            pytest.skip("no numpy: backend resolves to scalar")
+        scalar_metrics, scalar_steps, scalar_kinds = self._run(mode, "scalar")
+        kernel_metrics, kernel_steps, kinds = self._run(mode, "numpy")
+        assert scalar_kinds == []
+        assert set(kinds) == {"next", "absolute", "idle", "halt", "mixed"}
+        assert kernel_metrics == scalar_metrics
+        assert kernel_steps == scalar_steps
+        if mode is Mode.SLEEPING:
+            assert scalar_metrics["lost_messages"] > 0
 
 
 # ----------------------------------------------------------------------
