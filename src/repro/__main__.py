@@ -259,7 +259,6 @@ def _cmd_sweep(args, parser) -> int:
             latency_model=args.latency_model,
             engine=args.engine,
             fault_model=args.fault_model,
-            force_faults=args.force_faults,
             backend=args.backend,
         )
     except SpecError as exc:
@@ -557,9 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded fault plane for every cell: none, drop:P, dup:P, "
                        "crash:K@R[+restart:D], or +-compositions (default: each "
                        "scenario's own plane); non-tolerant scenarios are refused")
-    sweep.add_argument("--force-faults", action="store_true", default=None,
-                       help="inject --fault-model into explicitly named scenarios even "
-                       "when their algorithms declare no tolerance (watch them break)")
     sweep.add_argument("--backend", choices=("scalar", "numpy"),
                        help="node-step dispatch path (default: numpy when importable); "
                        "provenance-only — rows are byte-identical either way")

@@ -54,7 +54,6 @@ from .run import (
     BenchOutcome,
     run_bench_spec,
     run_report_spec,
-    run_spec,
     run_sweep_spec,
     smoke_spec,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "register_algorithm_spec",
     "run_bench_spec",
     "run_report_spec",
-    "run_spec",
     "run_sweep_spec",
     "shard_store_path",
     "shard_store_paths",

@@ -4,8 +4,11 @@
 ``python -m repro sweep``, the ``repro`` console script and the CI smoke
 entry all funnel into it.  It owns the orchestration policy:
 
-* **fail fast** — the spec is validated and every scenario name resolved
-  *before* any worker forks;
+* **fail fast** — the spec is validated, every scenario name resolved and
+  each scenario's engine checked against the spec's ``engine`` pin
+  (:func:`repro.sim.events.choose_engine`) *before* any cell runs, any
+  worker forks or the store opens; the validated spec then travels to
+  every worker and cell as the one carrier of the sweep's overrides;
 * **resume** — when the target :class:`~repro.api.ResultSet` already holds
   rows, completed ``(scenario, size, seed, params_digest)`` cells are
   reused verbatim and only the missing cells run; the returned table is
@@ -37,7 +40,6 @@ jobs the same spec-in, artifact-out shape.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -47,13 +49,12 @@ from pathlib import Path
 
 from .resultset import ResultSet, cell_key, failure_record
 from .shard import shard_cells, shard_store_path
-from .specs import BenchSpec, ReportSpec, Spec, SpecError, SweepSpec
+from .specs import BenchSpec, ReportSpec, SpecError, SweepSpec
 
 __all__ = [
     "run_sweep_spec",
     "run_bench_spec",
     "run_report_spec",
-    "run_spec",
     "smoke_spec",
     "BenchOutcome",
 ]
@@ -136,15 +137,7 @@ class _Worker:
 
     __slots__ = ("process", "tasks", "results", "group_id", "deadline")
 
-    def __init__(
-        self,
-        context,
-        with_metrics: bool,
-        engine: str | None = None,
-        latency_model: str | None = None,
-        fault_model: str | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, context, spec: SweepSpec, with_metrics: bool):
         from ..sim import experiments
 
         task_reader, self.tasks = context.Pipe(duplex=False)
@@ -153,10 +146,7 @@ class _Worker:
         self.deadline: float | None = None
         self.process = context.Process(
             target=experiments._worker_loop,
-            args=(
-                task_reader, result_writer, with_metrics, engine, latency_model,
-                fault_model, backend,
-            ),
+            args=(task_reader, result_writer, spec, with_metrics),
             daemon=True,
         )
         self.process.start()
@@ -190,29 +180,26 @@ class _Worker:
 
 def _run_groups_supervised(
     group_list: list[list[tuple[int, str, int, int]]],
+    spec: SweepSpec,
     *,
     context,
-    workers: int,
     with_metrics: bool,
-    max_retries: int,
-    task_timeout: float | None,
     land: Callable[[int, dict, dict | None], None],
     fail: Callable[[list, int, str], None],
-    engine: str | None = None,
-    latency_model: str | None = None,
-    fault_model: str | None = None,
-    backend: str | None = None,
 ) -> None:
     """Dispatch locality groups to supervised fork workers until all settle.
 
-    Each group either lands its cells (``land`` per cell), or — after its
-    worker died/stalled ``1 + max_retries`` times — is handed to ``fail``.
-    A worker that *reports* an exception (a deterministic driver/oracle
-    failure, not a fault) raises :class:`~repro.sim.experiments.SweepError`
-    exactly like the sequential path; the caller's ``finally`` handles
-    store cleanup.  The wait multiplexes worker result pipes and process
-    sentinels, so both results and deaths wake the supervisor immediately —
-    a dead worker can never hang the sweep.
+    The validated ``spec`` sets the policy: up to ``spec.workers`` workers,
+    each running its groups under the spec's overrides and backend.  Each
+    group either lands its cells (``land`` per cell), or — after its
+    worker died/stalled ``1 + spec.max_retries`` times — is handed to
+    ``fail``.  A worker that *reports* an exception (a deterministic
+    driver/oracle failure, not a fault) raises
+    :class:`~repro.sim.experiments.SweepError` exactly like the sequential
+    path; the caller's ``finally`` handles store cleanup.  The wait
+    multiplexes worker result pipes and process sentinels, so both results
+    and deaths wake the supervisor immediately — a dead worker can never
+    hang the sweep.
     """
     from ..sim.experiments import SweepError
 
@@ -224,7 +211,7 @@ def _run_groups_supervised(
     def crashed(group_id: int, cause: str) -> int:
         """Account one fault against ``group_id``; 1 if the group is closed."""
         failures[group_id] += 1
-        if failures[group_id] <= max_retries:
+        if failures[group_id] <= spec.max_retries:
             pending.append(group_id)  # retry on a fresh worker
             return 0
         fail(
@@ -243,19 +230,16 @@ def _run_groups_supervised(
                 else:
                     retained.append(w)
             pool = retained
-            target = min(workers, len(pending) + sum(w.group_id is not None for w in pool))
+            target = min(
+                spec.workers, len(pending) + sum(w.group_id is not None for w in pool)
+            )
             while sum(w.process.is_alive() for w in pool) < target:
-                pool.append(
-                    _Worker(
-                        context, with_metrics, engine, latency_model,
-                        fault_model, backend,
-                    )
-                )
+                pool.append(_Worker(context, spec, with_metrics))
             for worker in pool:
                 if worker.group_id is None and pending and worker.process.is_alive():
                     group_id = pending.pop()
                     try:
-                        worker.dispatch(group_id, group_list[group_id], task_timeout)
+                        worker.dispatch(group_id, group_list[group_id], spec.task_timeout)
                     except Exception:
                         # Died between the liveness check and the send: the
                         # group was never attempted, but bounded accounting
@@ -319,7 +303,7 @@ def _run_groups_supervised(
                 worker.shutdown()
                 open_groups -= crashed(
                     group_id,
-                    f"worker stuck beyond task_timeout={task_timeout:g}s, killed"
+                    f"worker stuck beyond task_timeout={spec.task_timeout:g}s, killed"
                     if stuck
                     else f"worker died (exit code {worker.process.exitcode})",
                 )
@@ -377,7 +361,7 @@ def run_sweep_spec(
     # not declare surviving (AlgorithmSpec.fault_tolerance).  A catalog-wide
     # sweep auto-restricts to the tolerant scenarios (the CI faulted-smoke
     # contract); explicitly named non-tolerant scenarios are an error —
-    # their oracles *will* fire — unless force_faults opts in.
+    # their oracles *will* fire (run_scenario is the ungated probe).
     if spec.fault_model is not None:
         from ..sim.faults import parse_fault_model
 
@@ -397,35 +381,31 @@ def run_sweep_spec(
                         f"sweep spec: no registered scenario declares tolerance "
                         f"for fault model {spec.fault_model!r}"
                     )
-            elif not spec.force_faults:
+            else:
                 intolerant = [name for name in names if not _tolerant(name)]
                 if intolerant:
                     raise SpecError(
                         f"sweep spec: fault_model {spec.fault_model!r} injects "
                         f"fault kinds the algorithms of {intolerant} do not "
-                        f"declare tolerance for; drop them from scenarios or "
-                        f"pass force_faults=True to watch them break"
+                        f"declare tolerance for; drop them from scenarios, or "
+                        f"run one cell with repro.sim.experiments.run_scenario "
+                        f"to watch it break"
                     )
+    from ..sim.events import canonical_latency, choose_engine
+
     for name in names:
         scenario = experiments.get_scenario(name)  # fail fast, before forking
-        if spec.engine == "round":
-            # spec.validate() already rejected a round engine with an
-            # explicit non-unit latency_model; a registered scenario can
-            # carry its own non-unit model too, so check the effective one.
-            from ..sim.events import canonical_latency
-
-            effective = (
-                spec.latency_model
-                if spec.latency_model is not None
-                else scenario.latency_model
-            )
-            if canonical_latency(effective) != "unit":
-                raise SpecError(
-                    f"sweep spec: scenario {name!r} uses latency model "
-                    f"{effective!r}, which the synchronous 'round' engine "
-                    f"cannot express; drop engine='round' or override "
-                    f"latency_model='unit'"
-                )
+        # spec.validate() checked the spec's own engine/latency pair; each
+        # scenario's latency model and stop bounds are checked here, so a
+        # bad pin is refused before any cell runs or any store is opened.
+        latency = (
+            spec.latency_model if spec.latency_model is not None
+            else scenario.latency_model
+        )
+        try:
+            choose_engine(spec.engine, canonical_latency(latency), scenario.bounded)
+        except ValueError as exc:
+            raise SpecError(f"sweep spec: scenario {name!r}: {exc}") from None
     if store is None:
         if spec.output and spec.shard_count is not None:
             store = ResultSet.open(
@@ -527,31 +507,20 @@ def run_sweep_spec(
         if context is not None:
             _run_groups_supervised(
                 group_list,
+                spec,
                 context=context,
-                workers=min(spec.workers, len(group_list)),
                 with_metrics=with_metrics,
-                max_retries=spec.max_retries,
-                task_timeout=spec.task_timeout,
                 land=land,
                 fail=fail,
-                engine=spec.engine,
-                latency_model=spec.latency_model,
-                fault_model=spec.fault_model,
-                backend=spec.backend,
             )
         else:
             from ..sim.kernels import use_backend
 
-            run_group = functools.partial(
-                experiments._run_cell_group,
-                with_metrics=with_metrics,
-                engine=spec.engine,
-                latency_model=spec.latency_model,
-                fault_model=spec.fault_model,
-            )
             with use_backend(spec.backend):
                 for group in group_list:
-                    for index, row, metrics in run_group(group):
+                    for index, row, metrics in experiments._run_cell_group(
+                        group, spec, with_metrics
+                    ):
                         land(index, row, metrics)
     finally:
         if shm_handles:
@@ -624,13 +593,3 @@ def run_report_spec(spec: ReportSpec) -> str:
         Path(spec.output).write_text(text)
     return text
 
-
-def run_spec(spec: Spec, **kwargs):
-    """Dispatch any spec to its executor (the ``kind``-tag single entry point)."""
-    if isinstance(spec, SweepSpec):
-        return run_sweep_spec(spec, **kwargs)
-    if isinstance(spec, BenchSpec):
-        return run_bench_spec(spec, **kwargs)
-    if isinstance(spec, ReportSpec):
-        return run_report_spec(spec, **kwargs)
-    raise SpecError(f"no executor for spec of type {type(spec).__name__}")

@@ -162,8 +162,9 @@ class SweepSpec(Spec):
     algorithm does not declare tolerance for
     (:attr:`repro.api.AlgorithmSpec.fault_tolerance`) — with
     ``scenarios=None`` it auto-restricts the catalog to tolerant
-    scenarios, and explicitly named non-tolerant scenarios are an error
-    unless ``force_faults=True`` opts into watching them break.
+    scenarios, and explicitly named non-tolerant scenarios are an error.
+    To watch a non-tolerant protocol break, run one cell through the
+    ungated :func:`repro.sim.experiments.run_scenario`.
 
     ``backend`` selects the node-step dispatch path (see
     :mod:`repro.sim.kernels`): ``"numpy"`` enables batch kernels,
@@ -189,7 +190,6 @@ class SweepSpec(Spec):
     latency_model: str | None = None
     engine: str | None = None
     fault_model: str | None = None
-    force_faults: bool = False
     backend: str | None = None
 
     def __post_init__(self):
@@ -248,31 +248,22 @@ class SweepSpec(Spec):
                 f"sweep spec: task_timeout must be a positive number of seconds "
                 f"or None, got {self.task_timeout!r}"
             )
-        if self.engine is not None and self.engine not in ("round", "event"):
+        if self.latency_model is not None and not isinstance(self.latency_model, str):
             raise SpecError(
-                f"sweep spec: engine must be 'round', 'event' or None, "
-                f"got {self.engine!r}"
+                f"sweep spec: latency_model must be a string or None, "
+                f"got {self.latency_model!r}"
             )
-        canonical = None
-        if self.latency_model is not None:
-            if not isinstance(self.latency_model, str):
-                raise SpecError(
-                    f"sweep spec: latency_model must be a string or None, "
-                    f"got {self.latency_model!r}"
-                )
-            # Lazy import keeps the spec layer import-light; events has no
-            # back-dependency on repro.api.
-            from ..sim.events import canonical_latency
+        # Lazy import keeps the spec layer import-light; events has no
+        # back-dependency on repro.api.  Each scenario's own latency model
+        # and stop bounds are checked per scenario before any cell runs
+        # (repro.api.run_sweep_spec).
+        from ..sim.events import canonical_latency, choose_engine
 
-            try:
-                canonical = canonical_latency(self.latency_model)
-            except ValueError as exc:
-                raise SpecError(f"sweep spec: {exc}") from None
-        if self.engine == "round" and canonical is not None and canonical != "unit":
-            raise SpecError(
-                f"sweep spec: the synchronous 'round' engine cannot express "
-                f"latency model {canonical!r}; use engine='event'"
-            )
+        latency = "unit" if self.latency_model is None else self.latency_model
+        try:
+            choose_engine(self.engine, canonical_latency(latency), bounded=False)
+        except ValueError as exc:
+            raise SpecError(f"sweep spec: {exc}") from None
         if self.fault_model is not None:
             if not isinstance(self.fault_model, str):
                 raise SpecError(
@@ -285,10 +276,6 @@ class SweepSpec(Spec):
                 canonical_fault(self.fault_model)
             except ValueError as exc:
                 raise SpecError(f"sweep spec: {exc}") from None
-        if not isinstance(self.force_faults, bool):
-            raise SpecError(
-                f"sweep spec: force_faults must be a boolean, got {self.force_faults!r}"
-            )
         _validate_backend("sweep", self.backend)
         return self
 

@@ -74,6 +74,7 @@ __all__ = [
     "canonical_latency",
     "EngineConfig",
     "EngineStats",
+    "choose_engine",
     "simulation_engine",
     "current_engine",
     "latency_bound",
@@ -345,6 +346,35 @@ def fault_horizon_factor() -> int:
     return 1 if plane is None else plane.horizon_factor
 
 
+def choose_engine(engine: str | None, latency: str, bounded: bool) -> str:
+    """The engine a run executes on: ``"round"`` or ``"event"``.
+
+    The paper states its results in lock-step rounds, so a run uses the
+    synchronous round engine unless its canonical ``latency`` model (see
+    :func:`canonical_latency`) is not ``"unit"`` or it is ``bounded`` by
+    ``max_time``/``message_budget``, which only the event engine's clock
+    can enforce.  ``engine`` pins the choice (``None`` picks); a pin this
+    rule cannot honour raises :class:`ValueError`.  Every entry point that
+    selects an engine — :func:`simulation_engine`, the sweep's cells, its
+    spec validation and its pre-fork scenario check — asks this function.
+    """
+    if engine not in (None, "round", "event"):
+        raise ValueError(f"unknown engine {engine!r}; options: 'round', 'event'")
+    if engine is None:
+        return "round" if latency == "unit" and not bounded else "event"
+    if engine == "round" and latency != "unit":
+        raise ValueError(
+            f"the synchronous 'round' engine cannot express latency model "
+            f"{latency!r}; use engine='event'"
+        )
+    if engine == "round" and bounded:
+        raise ValueError(
+            "max_time/message_budget are event-engine stopping conditions; "
+            "use engine='event'"
+        )
+    return engine
+
+
 @contextmanager
 def simulation_engine(
     engine: str = "event",
@@ -365,21 +395,13 @@ def simulation_engine(
     draw).  ``faults`` installs a fault plane honored by *both* engines;
     ``max_time`` / ``message_budget`` are event-engine stopping
     conditions (rejected under ``engine="round"``, which has no virtual
-    clock to bound).  Contexts nest; the innermost wins.
+    clock to bound; :func:`choose_engine` holds the rule).  Contexts nest;
+    the innermost wins.
     """
-    if engine not in ("round", "event"):
-        raise ValueError(f"unknown engine {engine!r}; options: 'round', 'event'")
     model = parse_latency_model(latency, seed=seed)
-    if engine == "round" and model.name != "unit":
-        raise ValueError(
-            f"the synchronous 'round' engine cannot express latency model "
-            f"{model.name!r}; use engine='event'"
-        )
-    if engine == "round" and (max_time is not None or message_budget is not None):
-        raise ValueError(
-            "max_time/message_budget are event-engine stopping conditions; "
-            "use engine='event'"
-        )
+    engine = choose_engine(
+        engine, model.name, max_time is not None or message_budget is not None
+    )
     plane = parse_fault_model(faults, seed=seed)
     config = EngineConfig(engine, model, plane, max_time, message_budget)
     _ENGINE_STACK.append(config)

@@ -63,7 +63,7 @@ from ..api.algorithms import (
 )
 from ..api.drivers import BUILTIN_ALGORITHMS, DriverError  # noqa: F401 (registers built-ins)
 from ..graphs import generators
-from .events import canonical_latency, simulation_engine
+from .events import canonical_latency, choose_engine, simulation_engine
 from .faults import canonical_fault, parse_fault_model
 from .metrics import Metrics
 
@@ -134,8 +134,8 @@ class Scenario:
     algorithm declares tolerance for every injected fault kind
     (:attr:`repro.api.AlgorithmSpec.fault_tolerance`).
 
-    ``max_time`` / ``message_budget`` are event-engine stopping conditions
-    (virtual-time and bandwidth bounds); setting either pins the cell to
+    ``max_time`` / ``message_budget`` are the event engine's stopping
+    bounds (virtual time and bandwidth); setting either pins the cell to
     the event engine and surfaces ``stop_reason``/``virtual_time`` row
     columns.
     """
@@ -150,6 +150,11 @@ class Scenario:
     fault_model: str = "none"
     max_time: int | None = None
     message_budget: int | None = None
+
+    @property
+    def bounded(self) -> bool:
+        """Whether a stopping bound pins this scenario to the event engine."""
+        return self.max_time is not None or self.message_budget is not None
 
     def build_graph(self, n: int, seed: int):
         return generators.make_family(self.family, n, self.max_weight, seed=seed)
@@ -419,9 +424,9 @@ def _run_cell(
 
     ``latency_model`` / ``fault_model`` override the scenario's own
     network and fault models (the sweep-level axes) and ``engine`` pins
-    the executor backend; by default unit-latency cells run on the
-    synchronous round engine and everything else — including
-    duration-bounded scenarios — on the event engine.  Seeded latency
+    the executor backend; :func:`~repro.sim.events.choose_engine` picks
+    it otherwise (round for unit-latency unbounded cells, event for the
+    rest) and rejects a pin it cannot honour.  Seeded latency
     models and every fault draw key off the cell's sweep seed.  The
     engine never appears in the row — under unit latency both engines
     are differentially identical (faulted or not), so it is provenance,
@@ -444,23 +449,10 @@ def _run_cell(
     effective_fault = (
         fault_model if fault_model is not None else scenario.fault_model
     )
-    bounded = scenario.max_time is not None or scenario.message_budget is not None
     try:
         canonical = canonical_latency(effective_latency)
         canonical_fault_model = canonical_fault(effective_fault)
-        effective_engine = engine or (
-            "round" if canonical == "unit" and not bounded else "event"
-        )
-        if effective_engine == "round" and canonical != "unit":
-            raise ValueError(
-                f"the synchronous 'round' engine cannot express latency model "
-                f"{canonical!r}; use engine='event'"
-            )
-        if effective_engine == "round" and bounded:
-            raise ValueError(
-                "max_time/message_budget are event-engine stopping conditions; "
-                "use engine='event'"
-            )
+        effective_engine = choose_engine(engine, canonical, scenario.bounded)
     except ValueError as exc:
         # An unparseable latency/fault string or an engine mismatch is a
         # configuration error, reported like any other bad sweep input.
@@ -516,7 +508,7 @@ def _run_cell(
         merged.setdefault("messages_duplicated", metrics.messages_duplicated)
         merged.setdefault("nodes_crashed", metrics.nodes_crashed)
         merged.setdefault("recoveries", metrics.recoveries)
-    if bounded or config.stats.stop_reason is not None:
+    if scenario.bounded or config.stats.stop_reason is not None:
         merged.setdefault("stop_reason", config.stats.stop_reason or "completed")
         merged.setdefault("virtual_time", config.stats.virtual_time)
     for key in sorted(merged):
@@ -557,11 +549,7 @@ def run_scenario(
 
 
 def _run_cell_group(
-    group: list[tuple[int, str, int, int]],
-    with_metrics: bool = True,
-    engine: str | None = None,
-    latency_model: str | None = None,
-    fault_model: str | None = None,
+    group: list[tuple[int, str, int, int]], spec, with_metrics: bool
 ) -> list[tuple[int, dict, dict | None]]:
     """Run one locality group of ``(index, name, n, seed)`` tasks in order.
 
@@ -569,29 +557,22 @@ def _run_cell_group(
     metrics ride along so the sweep executor can persist them to the
     :class:`~repro.api.ResultSet` without re-running the cell.
     ``with_metrics=False`` (in-memory stores, which discard them) skips the
-    O(E log E) serialization and keeps the worker pipes lean.
-    ``engine``/``latency_model``/``fault_model`` are the sweep-level
-    overrides, applied uniformly to every cell of the group.
+    O(E log E) serialization and keeps the worker pipes lean.  The
+    validated :class:`~repro.api.SweepSpec` ``spec`` carries the
+    sweep-level engine, latency and fault overrides, applied uniformly to
+    every cell of the group.
     """
     out = []
     for index, name, n, seed in group:
         row, metrics = _run_cell(
-            name, n, seed, engine=engine, latency_model=latency_model,
-            fault_model=fault_model,
+            name, n, seed, engine=spec.engine, latency_model=spec.latency_model,
+            fault_model=spec.fault_model,
         )
         out.append((index, row, metrics.to_dict() if with_metrics else None))
     return out
 
 
-def _worker_loop(
-    task_pipe,
-    result_pipe,
-    with_metrics: bool = True,
-    engine: str | None = None,
-    latency_model: str | None = None,
-    fault_model: str | None = None,
-    backend: str | None = None,
-) -> None:
+def _worker_loop(task_pipe, result_pipe, spec, with_metrics: bool) -> None:
     """Supervised-executor worker: serve dispatched cell groups until told to stop.
 
     The group-level task protocol of :func:`repro.api.run_sweep_spec`'s
@@ -599,9 +580,11 @@ def _worker_loop(
     private task pipe (``None`` or EOF means shut down) and the worker
     answers each on its private result pipe with ``("ok", triples)`` or
     ``("error", message)``.  Both are one-writer/one-reader
-    ``multiprocessing.Pipe(duplex=False)`` connections.  Driver exceptions
-    are stringified before crossing the pipe, so an unpicklable exception
-    object can never turn a deterministic failure into a hung parent.  A
+    ``multiprocessing.Pipe(duplex=False)`` connections.  ``spec`` is the
+    sweep's validated :class:`~repro.api.SweepSpec`: its overrides go to
+    every cell (see :func:`_run_cell_group`) and its ``backend`` to the
+    worker.  Driver exceptions are stringified before crossing the pipe,
+    so an unpicklable exception object can never turn a deterministic failure into a hung parent.  A
     worker that dies mid-group (crash, OOM kill, ``os._exit``) simply
     never answers — the supervisor notices via the process sentinel and
     re-dispatches the group.  Signals
@@ -616,7 +599,7 @@ def _worker_loop(
     # same request cannot diverge from the first attempt).
     from .kernels import set_backend
 
-    set_backend(backend)
+    set_backend(spec.backend)
     # A forked worker inherits the supervisor's graph cache — including
     # the instances the supervisor built only to publish their shared-
     # memory segments.  Drop them so this worker attaches the shared CSR
@@ -631,13 +614,7 @@ def _worker_loop(
         if group is None:
             return
         try:
-            result = _run_cell_group(
-                group,
-                with_metrics=with_metrics,
-                engine=engine,
-                latency_model=latency_model,
-                fault_model=fault_model,
-            )
+            result = _run_cell_group(group, spec, with_metrics)
         except (KeyboardInterrupt, SystemExit):
             raise  # die silently; the supervisor sees a dead worker
         except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data

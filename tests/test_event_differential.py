@@ -16,7 +16,14 @@ import pytest
 
 from repro.analysis.sweeps import sweep_columns, sweep_report, sweep_table
 from repro.api import ResultSet, SpecError, SweepSpec, run_sweep_spec, smoke_spec
-from repro.sim.experiments import _run_cell, list_scenarios, run_scenario
+from repro.sim.events import simulation_engine
+from repro.sim.experiments import (
+    SweepError,
+    _run_cell,
+    get_scenario,
+    list_scenarios,
+    run_scenario,
+)
 
 SMOKE_SIZES = (12, 18)
 
@@ -137,6 +144,36 @@ def test_round_engine_rejects_latency_scenarios():
     spec = SweepSpec(scenarios=("bellman-ford/er@delay4",), sizes=(12,), engine="round")
     with pytest.raises(SpecError):
         run_sweep_spec(spec)
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("bellman-ford/er@delay4", "cannot express latency model 'random:4'"),
+    ("bellman-ford/er@budget", "max_time/message_budget"),
+])
+def test_round_pin_refused_alike_at_every_entry_point(name, rule, tmp_path):
+    # One rule picks a cell's engine.  A round pin on a scenario whose
+    # latency model or stop bound needs the event engine gets the same
+    # message from the engine context, the single-cell API and the sweep,
+    # and the sweep refuses it before any cell runs or its store opens.
+    scenario = get_scenario(name)
+    with pytest.raises(ValueError, match=rule) as direct:
+        with simulation_engine("round", scenario.latency_model,
+                               max_time=scenario.max_time,
+                               message_budget=scenario.message_budget):
+            pass
+    message = str(direct.value)
+    with pytest.raises(SweepError) as cell:
+        run_scenario(name, 12, engine="round")
+    assert message in str(cell.value)
+    for workers in (1, 2):
+        store = tmp_path / f"workers{workers}.jsonl"
+        spec = SweepSpec(scenarios=("bfs/grid", name), sizes=(12,), engine="round",
+                         workers=workers, output=str(store))
+        ran = []
+        with pytest.raises(SpecError) as sweep:
+            run_sweep_spec(spec, progress=lambda done, total, row: ran.append(row))
+        assert message in str(sweep.value)
+        assert ran == [] and not store.exists()
 
 
 def test_latency_model_rendered_in_tables_and_reports():

@@ -5,10 +5,10 @@ grammar, process-stable draw keying, crash-restart semantics in the
 synchronous and event engines (byte-identical under unit latency), the
 ``fault_model="none"`` differential guarantee (rows, metrics payloads and
 resume digests unchanged from the pre-fault engines), worker-count and
-shard stability of faulted sweeps, the sweep-level tolerance gate with
-its ``force_faults`` override, the negative control (drop-injected BFS
-demonstrably breaks), and the ``stop_reason``/``virtual_time`` columns of
-duration-bounded scenarios.
+shard stability of faulted sweeps, the sweep-level tolerance gate, the
+negative control (drop-injected BFS demonstrably breaks through the
+ungated ``run_scenario``), and the ``stop_reason``/``virtual_time``
+columns of duration-bounded scenarios.
 """
 
 import json
@@ -330,7 +330,7 @@ def test_faulted_resume_reuses_only_matching_fault_cells(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# tolerance gate, force override, negative control
+# tolerance gate and negative control
 # ----------------------------------------------------------------------
 def test_gate_rejects_explicit_non_tolerant_scenarios():
     spec = SweepSpec(scenarios=("sssp/er",), sizes=(12,), fault_model="drop:0.1")
@@ -345,13 +345,6 @@ def test_gate_auto_restricts_catalog_sweeps_to_tolerant_scenarios():
     for name in ran:
         tolerance = get_algorithm_spec(get_scenario(name).algorithm).fault_tolerance
         assert "dup" in tolerance
-
-
-def test_force_faults_bypasses_the_gate_and_the_protocol_breaks():
-    spec = SweepSpec(scenarios=("bfs/grid",), sizes=(36,), fault_model="drop:0.3",
-                     force_faults=True)
-    with pytest.raises(SweepError, match="sandwich"):
-        run_sweep_spec(spec)
 
 
 def test_negative_control_bfs_breaks_under_drops_but_not_dup():
@@ -374,16 +367,12 @@ def test_registering_a_non_tolerant_faulted_scenario_fails():
                                    fault_model="drop:nope"))
 
 
-def test_cli_gate_exits_2_without_force_faults(capsys):
+def test_cli_gate_exits_2_on_non_tolerant_scenarios(capsys):
     code = main(["sweep", "--scenarios", "bfs/grid", "--sizes", "12",
                  "--fault-model", "drop:0.3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "tolerance" in err and "force" in err
-    code = main(["sweep", "--scenarios", "bfs/grid", "--sizes", "12",
-                 "--fault-model", "drop:0.3", "--force-faults"])
-    assert code == 2  # the gate lifted; the oracle failure is the stop now
-    assert "sandwich" in capsys.readouterr().err
+    assert "tolerance" in err and "run_scenario" in err
 
 
 # ----------------------------------------------------------------------

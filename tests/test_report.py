@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import compile_report, write_report
+from repro.analysis.report import _ORDER, compile_report, write_report
 
 
 @pytest.fixture
@@ -44,7 +44,12 @@ class TestCompile:
         from pathlib import Path
 
         real = Path(__file__).parent.parent / "benchmarks" / "results"
-        if not real.is_dir() or not list(real.glob("*.txt")):
+        stems = {path.stem for path in real.glob("*.txt")}
+        if not stems:
             pytest.skip("benchmarks not yet recorded")
+        # A partial bench run records only some tables: check every table
+        # that is present, in canonical order, not one fixed name.
         report = compile_report(real)
-        assert "E1_correctness" in report
+        sections = [line[3:] for line in report.splitlines() if line.startswith("## ")]
+        expected = [name for name in _ORDER if name in stems] + sorted(stems - set(_ORDER))
+        assert sections == expected
