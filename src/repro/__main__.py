@@ -32,15 +32,6 @@ Commands
     missing ``BENCH.json`` is a *skipped* gate, never a passed one).
 ``report``
     Compile recorded experiment tables into one Markdown document.
-``lint``
-    Static determinism/contract analysis (see :mod:`repro.lint`):
-    ``repro lint src/repro`` checks paths file by file,
-    ``--plugins`` resolves the algorithm registry (entry points +
-    ``REPRO_PLUGINS``) and lints the driver/oracle source behind it,
-    ``--select/--ignore`` filter rules, ``--list-rules`` prints the
-    catalog, ``--output sarif`` emits SARIF 2.1.0, ``--json`` prints the
-    checked files and findings.  Exit 0 clean, 1 findings, 2 usage.
-
 ``sweep``, ``bench``, and ``report`` accept ``--spec FILE`` (a JSON spec
 artifact, see ``EXPERIMENTS.md``); every subcommand accepts ``--json``
 (machine-readable stdout).  Bad flags or malformed values exit 2 with a
@@ -425,89 +416,6 @@ def _cmd_report(args, parser) -> int:
     return 0
 
 
-def _cmd_lint(args, parser) -> int:
-    from repro.lint import (
-        RULES,
-        lint_paths,
-        lint_plugins,
-        render_sarif,
-        resolve_rule_selection,
-    )
-
-    output = args.output or ("json" if args.json else "text")
-    if args.list_rules:
-        if output == "json":
-            print(json.dumps([
-                {
-                    "id": rule.id,
-                    "name": rule.name,
-                    "severity": rule.severity,
-                    "summary": rule.summary,
-                    "exempt_paths": list(rule.exempt_paths),
-                }
-                for rule in RULES
-            ], indent=2))
-        else:
-            for rule in RULES:
-                print(f"{rule.id} [{rule.name}] ({rule.severity}) {rule.summary}")
-        return 0
-
-    try:
-        resolve_rule_selection(args.select, args.ignore)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not args.paths and not args.plugins:
-        parser.error("lint needs at least one path (or --plugins / --list-rules)")
-
-    findings = []
-    checked: list[str] = []
-    if args.paths:
-        try:
-            path_findings, path_checked = lint_paths(
-                args.paths, select=args.select, ignore=args.ignore,
-            )
-        except FileNotFoundError as exc:
-            parser.error(str(exc))
-        findings.extend(path_findings)
-        checked.extend(path_checked)
-    if args.plugins:
-        plugin_findings, plugin_checked = lint_plugins(
-            select=args.select, ignore=args.ignore,
-        )
-        # Paths already linted above stay deduplicated: a built-in driver
-        # under a linted directory should not report twice.
-        seen_paths = set(checked)
-        for finding in plugin_findings:
-            if finding.path not in seen_paths:
-                findings.append(finding)
-        checked.extend(plugin_checked)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if output == "json":
-        print(json.dumps({
-            "version": 1,
-            "files_checked": checked,
-            "findings": [finding.to_dict() for finding in findings],
-        }, indent=2))
-        return 1 if findings else 0
-    if output == "sarif":
-        import repro
-
-        print(render_sarif(findings, RULES, repro.__version__))
-        return 1 if findings else 0
-    for finding in findings:
-        print(finding.render())
-    noun = "file" if len(checked) == 1 else "files"
-    if findings:
-        print(f"{len(findings)} finding(s) in {len(checked)} {noun} checked")
-        return 1
-    print(f"{len(checked)} {noun} clean")
-    return 0
-
-
-# ----------------------------------------------------------------------
-# parser
-# ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -582,30 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: numpy when importable)")
     bench.add_argument("--json", action="store_true", help="machine-readable output")
 
-    lint = commands.add_parser(
-        "lint", help="static determinism/contract analysis",
-        description="Lint source for the determinism and protocol-contract "
-        "invariants the differential suites pin at run time (seeded draws, "
-        "sorted iteration, JSON-safe params, Inbox/Context contracts). "
-        "Suppress one finding with an inline 'repro: lint-ok[RULE] reason' "
-        "comment — the reason is required. Exit 0 clean, 1 findings, 2 usage.",
-    )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to lint (directories recurse over *.py)")
-    lint.add_argument("--select", type=_csv, metavar="D101,P",
-                      help="run only these rule ids or families (D, P, X)")
-    lint.add_argument("--ignore", type=_csv, metavar="D103,X100",
-                      help="drop these rule ids or families")
-    lint.add_argument("--plugins", action="store_true",
-                      help="resolve the algorithm registry (entry points + "
-                      "REPRO_PLUGINS) and lint the driver/oracle source behind it")
-    lint.add_argument("--output", choices=("text", "json", "sarif"),
-                      help="output format (default text; sarif emits a "
-                      "SARIF 2.1.0 log for code-scanning upload)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
-    lint.add_argument("--json", action="store_true", help="machine-readable output")
-
     report = commands.add_parser("report", help="compile recorded experiment tables")
     report.add_argument("results_dir", nargs="?", default=None,
                         help="recorded tables directory (default benchmarks/results)")
@@ -636,8 +520,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args, parser)
         if args.command == "bench":
             return _cmd_bench(args, parser)
-        if args.command == "lint":
-            return _cmd_lint(args, parser)
         return _cmd_report(args, parser)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep main()

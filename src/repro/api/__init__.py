@@ -16,7 +16,8 @@ three ideas:
   (including serialized :class:`~repro.sim.Metrics`).  Re-running a
   :class:`SweepSpec` against an existing store *resumes*: completed
   ``(scenario, size, seed)`` cells are skipped and only the missing ones
-  run, deterministically reproducing the full table;
+  run, deterministically reproducing the full table (the store's lines
+  come in completion order; nothing reads them by position);
 * a **shard** is one of ``k`` disjoint sub-jobs of a sweep
   (:meth:`SweepSpec.shard` / ``repro sweep --shard i/k``), each with its
   own durable store; :func:`merge_shards` recombines them idempotently

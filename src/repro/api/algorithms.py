@@ -19,7 +19,10 @@ Third-party scenarios plug in without editing this module, via either
 
 :func:`discover` runs both once per process; the scenario registry invokes
 it automatically before resolving names, so ``repro sweep --scenarios
-yourpkg/custom`` works as soon as the plugin is importable.
+yourpkg/custom`` works as soon as the plugin is importable.  A plugin's
+driver owes the built-ins' determinism contract (no clock, environment or
+global-RNG reads; no hash-order dependence), which the test suite checks
+at run time for every scenario registered when it runs.
 """
 
 from __future__ import annotations
@@ -168,31 +171,6 @@ class AlgorithmSpec:
                         f"accept it"
                     )
         return self
-
-    def source_paths(self) -> list[str]:
-        """Source files behind this spec, for ``repro lint --plugins``.
-
-        Resolves the driver (and oracle, when declared) and maps each to
-        its defining file via :mod:`inspect`.  Objects without a source
-        file (builtins, C extensions, in-process lambdas) are skipped —
-        the lint CLI reports what it actually checked, so a spec that
-        contributes no source is visible there rather than a silent gap.
-        """
-        import inspect
-
-        targets = [self.resolve()]
-        if self.oracle:
-            targets.append(resolve_entry_point(self.oracle))
-        paths: list[str] = []
-        for target in targets:
-            target = inspect.unwrap(target)
-            try:
-                source = inspect.getsourcefile(target)
-            except TypeError:
-                source = None
-            if source and source not in paths:
-                paths.append(source)
-        return paths
 
     def to_dict(self) -> dict:
         return {

@@ -156,7 +156,6 @@ class _Worker:
 
     def dispatch(self, group_id: int, group: list, timeout: float | None) -> None:
         self.group_id = group_id
-        # repro: lint-ok[D105] supervisor stall deadline — scheduling state, never reaches rows
         self.deadline = time.monotonic() + timeout if timeout else None
         self.tasks.send(group)
 
@@ -255,7 +254,6 @@ def _run_groups_supervised(
 
             # Sleep until a result lands, a worker dies, or a deadline nears.
             busy = [w for w in pool if w.group_id is not None]
-            # repro: lint-ok[D105] stall-detection clock — scheduling state, never reaches rows
             now = time.monotonic()
             deadlines = [w.deadline - now for w in busy if w.deadline is not None]
             wait = max(0.0, min([_POLL_SECONDS, *deadlines]))
@@ -263,7 +261,6 @@ def _run_groups_supervised(
             if sentinels:
                 multiprocessing.connection.wait(sentinels, timeout=wait)
 
-            # repro: lint-ok[D105] stall-detection clock — scheduling state, never reaches rows
             now = time.monotonic()
             for worker in busy:
                 group_id = worker.group_id
@@ -330,7 +327,10 @@ def run_sweep_spec(
     runs); ``progress(completed, total, row)`` is invoked once per *newly
     executed* cell, where ``completed`` counts reused cells too.  Rows come
     back in cross-product order (scenario-major, then size, then seed) —
-    identical at any worker count, with or without resume.
+    identical at any worker count, with or without resume.  The store's
+    lines, by contrast, come in completion order, which at ``workers > 1``
+    varies from run to run; tables, reports, resume and merge read a store
+    by cell key and never depend on its line order.
 
     A sharded spec (``shard_index``/``shard_count``) runs only its own
     partition of the cross product and, when ``spec.output`` is set, writes

@@ -165,13 +165,12 @@ class Graph:
 
         Used by the CSSP recursion, where nodes outside ``V1`` (resp. inside
         ``V2``) are removed before recursing (Section 2.3, steps 4 and 6).
+        The kept nodes keep this graph's insertion order, never the order of
+        ``keep``, so a run on the subgraph cannot depend on set (hash) order.
         """
         keep_set = set(keep)
         sub = Graph()
-        sub_adj = sub._adj
-        for u in keep_set:
-            if u in self._adj:
-                sub_adj[u] = {}
+        sub._adj = sub_adj = {u: {} for u in self._adj if u in keep_set}
         # Walk only the kept rows (O(sum of kept degrees), not O(m)) and
         # write the half-rows directly — the weights were validated when the
         # parent graph was built.

@@ -32,9 +32,7 @@ def subprocess_env() -> dict:
     """
     src = str(Path(__file__).resolve().parent.parent)
     return {
-        # repro: lint-ok[D107] subprocess env passthrough — test helper, not library config
         **os.environ,
-        # repro: lint-ok[D107] extends the caller's own PYTHONPATH, read for passthrough only
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
 

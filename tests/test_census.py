@@ -1,13 +1,11 @@
-"""The lint census's catches, pinned: each mutation is still caught.
+"""The census's catches, pinned: each seeded mutation still fails tier-1.
 
-DESIGN.md's "Lint census" seeded 31 bug-class mutations into the real
-modules.  Each case below applies one row's edits to the module's current
-source.  Where a kept rule fired, the case lints the result and requires
-the rule to fire again.  Where the rule that fired was deleted because
-tier-1 also caught the row, the case runs that tier-1 test on a mutated
-copy of the tree and requires it to fail, so the census's reason for each
-deletion stays true.  An anchor that no longer matches fails with the
-anchor text: move the row along with the code it anchors in.
+DESIGN.md's "Determinism guards" lists the census of bug-class mutations
+seeded into the real modules, each with the tier-1 test that catches it.
+Each case below applies one row's edits to a copy of the tree, runs that
+test there and requires it to fail, so every catch the census counts
+stays true.  An anchor that no longer matches fails with the anchor text:
+move the row along with the code it anchors in.
 """
 
 import os
@@ -18,66 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_source
 from repro.sim.kernels import numpy_or_none
 
 REPO = Path(__file__).parent.parent
-SRC_REPRO = REPO / "src" / "repro"
-
-#: Census row -> (mutation, module under src/repro, rules that must fire on
-#: a line the edits wrote, [(anchor, replacement), ...]).
-CENSUS = {
-    8: ('_source_node reseeds the global RNG and draws from it', 'api/drivers.py', ('D101', 'D102'), [
-        ('    return nodes[random.Random(seed).randrange(len(nodes))]',
-         '    random.seed(seed)\n    return nodes[random.randrange(len(nodes))]'),
-    ]),
-    9: ('APSP delays drawn from the global RNG', 'core/apsp.py', ('D101',), [
-        ('delays = {i: rng.randrange(max(1, window)) for i in traces}',
-         'delays = {i: random.randrange(max(1, window)) for i in traces}'),
-    ]),
-    10: ('decomposition proposes red nodes in set order', 'energy/decomposition.py', ('D103',), [
-        ('            for u in sorted(live, key=repr):',
-         '            for u in live:'),
-    ]),
-    11: ('crash_plan samples victims from set order', 'sim/faults.py', ('D103',), [
-        ('        pool = sorted(labels, key=repr)',
-         '        pool = list(set(labels))'),
-    ]),
-    14: ('scenario_digest hashes the params in set order', 'sim/experiments.py', ('D103',), [
-        ('"params": {str(k): v for k, v in dict(scenario.params).items()},',
-         '"params": [[str(k), v] for k, v in set(dict(scenario.params).items())],'),
-    ]),
-    16: ('_run_cell adds a wall-time quality column', 'sim/experiments.py', ('D105',), [
-        ('import hashlib\nimport json\n',
-         'import hashlib\nimport json\nimport time\n'),
-        ('    graph = _cached_graph(scenario, n, seed)\n    metrics = Metrics()',
-         '    graph = _cached_graph(scenario, n, seed)\n    started = time.perf_counter()\n    metrics = Metrics()'),
-        ('    merged = dict(extras) if extras else {}\n',
-         '    merged = dict(extras) if extras else {}\n    merged["wall_ms"] = int(1000 * (time.perf_counter() - started))\n'),
-    ]),
-    17: ('Runner.run stops after a one-hour wall-clock budget', 'sim/runner.py', ('D105',), [
-        ('from itertools import repeat\n',
-         'from itertools import repeat\nimport time\n'),
-        ('        last_round = -1\n        messages_sent = 0\n',
-         '        last_round = -1\n        deadline = time.monotonic() + 3600\n        messages_sent = 0\n'),
-        ('        while heap:\n',
-         '        while heap and time.monotonic() < deadline:\n'),
-    ]),
-    18: ('drive_apsp reads its capacity factor from the environment', 'api/drivers.py', ('D107',), [
-        ('    from ..core import apsp\n\n',
-         '    from ..core import apsp\n    import os\n\n    capacity_log_factor = int(os.environ.get("REPRO_APSP_CAPACITY", capacity_log_factor))\n'),
-    ]),
-    21: ('_DistanceExchange keeps ctx on self and broadcasts through it', 'core/paths.py', ('P202',), [
-        ('        if ctx.round == 0:\n            if self.dist != INFINITY:\n                ctx.broadcast(self.dist)',
-         '        self._ctx = ctx\n        if ctx.round == 0:\n            if self.dist != INFINITY:\n                self._ctx.broadcast(self.dist)'),
-    ]),
-}
 
 _SEED_REACHES = "tests/test_driver_catalog.py::TestSeedVariation::test_driver_seed_reaches_the_run"
 
 #: Census row -> (mutation, module under src/repro, the cheapest tier-1 test
-#: that fails on it, [(anchor, replacement), ...]) for the rows whose rule
-#: (named in the comment) was deleted.
+#: that fails on it, [(anchor, replacement), ...]).  The comment names the
+#: deleted lint rule that used to fire on the row.
 CAUGHT_AT_RUN_TIME = {
     3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py',  # P203
         f'{_SEED_REACHES}[labeled-bfs/grid]', [
@@ -99,10 +46,53 @@ CAUGHT_AT_RUN_TIME = {
         ('    rng = random.Random(seed)\n    graph = random_tree(',
          '    rng = random.Random(0)\n    graph = random_tree('),
     ]),
+    8: ('_source_node reseeds the global RNG and draws from it', 'api/drivers.py',  # D101, D102
+        f'{_SEED_REACHES}[bellman-ford/er]', [
+        ('    return nodes[random.Random(seed).randrange(len(nodes))]',
+         '    random.seed(seed)\n    return nodes[random.randrange(len(nodes))]'),
+    ]),
+    9: ('APSP delays drawn from the global RNG', 'core/apsp.py',  # D101
+        'tests/test_cssp.py::TestForestMemo::test_apsp_memo_matches_fresh_constructions', [
+        ('delays = {i: rng.randrange(max(1, window)) for i in traces}',
+         'delays = {i: random.randrange(max(1, window)) for i in traces}'),
+    ]),
+    11: ('crash_plan samples victims from set order', 'sim/faults.py',  # D103
+         'tests/test_driver_catalog.py::TestHashOrder::test_string_labelled_runs_agree_across_hash_seeds[bfs/grid@crash2]', [
+        ('        pool = sorted(labels, key=repr)',
+         '        pool = list(set(labels))'),
+    ]),
     13: ('scenario_digest drops sort_keys=True', 'sim/experiments.py',  # D104
          'tests/test_driver_catalog.py::TestParamsAwareResume::test_digest_ignores_param_order', [
         ('payload = json.dumps(payload_dict, sort_keys=True)',
          'payload = json.dumps(payload_dict)'),
+    ]),
+    14: ('scenario_digest hashes the params in set order', 'sim/experiments.py',  # D103
+         'tests/test_faults.py::test_pre_fault_digests_are_pinned', [
+        ('"params": {str(k): v for k, v in dict(scenario.params).items()},',
+         '"params": [[str(k), v] for k, v in set(dict(scenario.params).items())],'),
+    ]),
+    16: ('_run_cell adds a wall-time quality column', 'sim/experiments.py',  # D105
+         'tests/test_event_differential.py::test_every_scenario_row_identical_under_event_engine[apsp/er]', [
+        ('import hashlib\nimport json\n',
+         'import hashlib\nimport json\nimport time\n'),
+        ('    graph = _cached_graph(scenario, n, seed)\n    metrics = Metrics()',
+         '    graph = _cached_graph(scenario, n, seed)\n    started = time.perf_counter()\n    metrics = Metrics()'),
+        ('    merged = dict(extras) if extras else {}\n',
+         '    merged = dict(extras) if extras else {}\n    merged["wall_ms"] = int(1000 * (time.perf_counter() - started))\n'),
+    ]),
+    17: ('Runner.run stops after a one-hour wall-clock budget', 'sim/runner.py',  # D105
+         f'{_SEED_REACHES}[bfs/grid]', [
+        ('from itertools import repeat\n',
+         'from itertools import repeat\nimport time\n'),
+        ('        last_round = -1\n        messages_sent = 0\n',
+         '        last_round = -1\n        deadline = time.monotonic() + 3600\n        messages_sent = 0\n'),
+        ('        while heap:\n',
+         '        while heap and time.monotonic() < deadline:\n'),
+    ]),
+    18: ('drive_apsp reads its capacity factor from the environment', 'api/drivers.py',  # D107
+         f'{_SEED_REACHES}[apsp/er]', [
+        ('    from ..core import apsp\n\n',
+         '    from ..core import apsp\n    import os\n\n    capacity_log_factor = int(os.environ.get("REPRO_APSP_CAPACITY", capacity_log_factor))\n'),
     ]),
     19: ('_source_node sorts nodes by id()', 'api/drivers.py',  # D106
          'tests/test_energy_cssp.py::TestCoverMemo::test_pinned_instance_builds_each_distinct_input_once', [
@@ -135,30 +125,12 @@ CAUGHT_AT_RUN_TIME = {
 NEEDS_NUMPY = {24}
 
 
-def mutate(source: str, edits: list) -> tuple:
-    """Apply ``edits`` in order; return the source and the lines they wrote."""
-    spans: list = []  # [start, end) character spans of the replacements
+def mutate(source: str, edits: list) -> str:
+    """Apply ``edits`` in order; each anchor must occur exactly once."""
     for anchor, replacement in edits:
         assert source.count(anchor) == 1, f"census anchor not found exactly once: {anchor!r}"
-        start = source.index(anchor)
-        shift = len(replacement) - len(anchor)
-        spans = [(a + shift, b + shift) if a >= start else (a, b) for a, b in spans]
-        spans.append((start, start + len(replacement)))
-        source = source[:start] + replacement + source[start + len(anchor):]
-    written = set()
-    for a, b in spans:
-        first = source.count("\n", 0, a) + 1
-        written.update(range(first, first + source.count("\n", a, b) + 1))
-    return source, written
-
-
-@pytest.mark.parametrize("row", sorted(CENSUS), ids=lambda row: f"row{row:02d}")
-def test_census_mutation_fires_its_rule(row):
-    _what, module, rules, edits = CENSUS[row]
-    path = f"src/repro/{module}"
-    source, written = mutate((SRC_REPRO / module).read_text(encoding="utf-8"), edits)
-    fired = {f.rule for f in lint_source(source, path=path) if f.line in written}
-    assert set(rules) <= fired, f"row {row} ({path}): {sorted(fired)}"
+        source = source.replace(anchor, replacement)
+    return source
 
 
 def copy_tree(root: Path) -> None:
@@ -206,7 +178,7 @@ def test_census_mutation_fails_its_tier1_test(row, tmp_path):
         pytest.skip("no numpy: no batch kernel runs, so the mutation cannot show")
     copy_tree(tmp_path)
     target = tmp_path / "src" / "repro" / module
-    target.write_text(mutate(target.read_text(encoding="utf-8"), edits)[0], encoding="utf-8")
+    target.write_text(mutate(target.read_text(encoding="utf-8"), edits), encoding="utf-8")
     result = run_tier1(tmp_path, catcher)
     # 1: the test failed; 2: its module no longer imports.  Anything else
     # (0: it passed, 4: no such test) means the catch is gone.

@@ -12,14 +12,28 @@ This file covers the catalog-growth contract:
   on unweighted families (the silent-corruption bug where every
   ``(scenario, n, seed)`` cell recomputed the identical run), and on one
   fixed instance every seeded scenario's driver gives more than one run
-  over four seeds while the seed-free ones give exactly one;
+  over four seeds while the seed-free ones give exactly one, and a repeated
+  seed gives the same run;
+* a driver run is a pure function of (instance, seed): it reads no clock
+  and no environment variable and leaves the global RNGs as it found them
+  (:func:`purity_guard`), and on string-labelled instances it gives the
+  same run under two hash seeds (:class:`TestHashOrder`);
 * every driver's quality columns are string-keyed, JSON-safe, and clear
   of the core row fields;
 * resume keys carry the scenario-definition digest, so a store written
   under old params never silently satisfies a sweep under new ones.
 """
 
+import contextlib
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +45,9 @@ from repro.api import (
     list_algorithm_specs,
     run_sweep_spec,
 )
-from repro.graphs import generators
+from repro.graphs import Graph, generators
 from repro.sim import Metrics, experiments, simulation_engine
+from repro.sim.events import canonical_latency, choose_engine
 from repro.sim.experiments import (
     ROW_FIELDS,
     Scenario,
@@ -43,6 +58,8 @@ from repro.sim.experiments import (
     run_scenario,
     scenario_digest,
 )
+from repro.sim.kernels import numpy_or_none
+from repro.testing import subprocess_env
 
 #: The three-family differential matrix the catalog contract requires.
 FAMILIES = ("tree", "grid", "er")
@@ -239,15 +256,77 @@ SEED_FREE = {
 }
 
 
+#: The clocks a driver run must not read: a time reading is no function of
+#: (scenario, size, seed), so it cannot reach a row or a stopping decision.
+CLOCKS = tuple(
+    name + suffix
+    for name in ("time", "monotonic", "perf_counter", "process_time")
+    for suffix in ("", "_ns")
+)
+
+
+class NoEnviron(Mapping):
+    """Stands in for ``os.environ`` while a driver runs: any read fails.
+
+    An environment variable would be a hidden axis that no scenario digest
+    records.  ``os.getenv`` and ``in``/``get`` read through here too.
+    """
+
+    def __getitem__(self, key):
+        raise AssertionError(f"the driver read os.environ[{key!r}]")
+
+    def __iter__(self):
+        raise AssertionError("the driver iterated os.environ")
+
+    def __len__(self):
+        raise AssertionError("the driver measured os.environ")
+
+
+def stopped_clock(name: str):
+    def read(*_args):
+        raise AssertionError(f"the driver read time.{name}()")
+
+    return read
+
+
+def global_rng_states() -> list:
+    """The state of ``random``'s global RNG, and numpy's when installed."""
+    states = [random.getstate()]
+    np = numpy_or_none()
+    if np is not None:
+        kind, keys, pos, has_gauss, gauss = np.random.get_state()
+        states.append((kind, keys.tobytes(), pos, has_gauss, gauss))
+    return states
+
+
+@contextlib.contextmanager
+def purity_guard():
+    """Fail a run that reads a clock or the environment, or moves a global RNG.
+
+    Seeded draws go through ``random.Random(seed)`` instances; a draw from,
+    or a reseed of, a global RNG changes its state and fails the check
+    that follows the run.
+    """
+    before = global_rng_states()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "environ", NoEnviron())
+        for name in CLOCKS:
+            patch.setattr(time, name, stopped_clock(name))
+        yield
+    assert global_rng_states() == before, "the driver drew from or reseeded a global RNG"
+
+
 def drive(scenario: Scenario, driver, graph, seed: int) -> tuple:
     """Run ``driver`` once on ``graph`` under the scenario's engine setup.
 
     The engine's own seeded draws (latency, faults) are fixed at seed 0,
-    so only the seed handed to the driver can vary the run.  Returns the
-    metrics and the driver's quality columns.
+    so only the seed handed to the driver can vary the run.  The driver
+    runs under :func:`purity_guard`.  Returns the metrics and the driver's
+    quality columns.
     """
-    bounded = scenario.max_time is not None or scenario.message_budget is not None
-    engine = "round" if scenario.latency_model == "unit" and not bounded else "event"
+    engine = choose_engine(
+        None, canonical_latency(scenario.latency_model), scenario.bounded
+    )
     metrics = Metrics()
     with simulation_engine(
         engine,
@@ -256,23 +335,171 @@ def drive(scenario: Scenario, driver, graph, seed: int) -> tuple:
         faults=scenario.fault_model,
         max_time=scenario.max_time,
         message_budget=scenario.message_budget,
-    ):
+    ), purity_guard():
         extras = driver(graph, seed, metrics, **dict(scenario.params))
     return metrics, extras
+
+
+def run_key(metrics: Metrics, extras) -> str:
+    """A run as one string: the metrics' full ``to_dict()`` plus the extras."""
+    return json.dumps([metrics.to_dict(), extras], sort_keys=True)
 
 
 def distinct_runs(scenario: Scenario, driver) -> int:
     """How many distinct runs ``driver`` gives on one instance over seeds 0-3.
 
-    The instance is fixed (``build_graph(12, 0)``).  A run is its metrics'
-    full ``to_dict()`` plus the driver's quality columns.
+    The instance is fixed (``build_graph(12, 0)``).  Seed 0 runs twice and
+    must give the same run both times, which an unseeded ``random.Random()``
+    would not.
     """
     graph = scenario.build_graph(12, 0)
-    runs = set()
-    for seed in range(4):
-        metrics, extras = drive(scenario, driver, graph, seed)
-        runs.add(json.dumps([metrics.to_dict(), extras], sort_keys=True))
-    return len(runs)
+    runs = [run_key(*drive(scenario, driver, graph, seed)) for seed in (0, 1, 2, 3, 0)]
+    assert runs[-1] == runs[0], f"{scenario.name}: seed 0 gave two different runs"
+    return len(set(runs))
+
+
+#: Acts on ``random``'s global RNG; each one moves its state.
+GLOBAL_RANDOM_ACTS = {
+    "random": lambda: random.random(),
+    "seed": lambda: random.seed(7),
+    "shuffle": lambda: random.shuffle([1, 2, 3]),
+    "randrange": lambda: random.randrange(10),
+    "choice": lambda: random.choice("abc"),
+    "sample": lambda: random.sample(range(5), 2),
+    "getrandbits": lambda: random.getrandbits(8),
+    "uniform": lambda: random.uniform(0, 1),
+}
+
+#: Acts on numpy's global RNG (called with the numpy module).
+NUMPY_RANDOM_ACTS = {
+    "rand": lambda np: np.random.rand(),
+    "seed": lambda np: np.random.seed(7),
+    "randint": lambda np: np.random.randint(9),
+    "permutation": lambda np: np.random.permutation(4),
+}
+
+#: Reads of the environment; ``os.getenv`` reads through ``os.environ``.
+ENVIRON_READS = {
+    "getitem": lambda: os.environ["PATH"],
+    "get": lambda: os.environ.get("PATH"),
+    "getenv": lambda: os.getenv("PATH"),
+    "getenv-default": lambda: os.getenv("HOME", ""),
+    "contains": lambda: "PATH" in os.environ,
+    "iter": lambda: list(os.environ),
+    "len": lambda: len(os.environ),
+    "items": lambda: list(os.environ.items()),
+    "dict": lambda: dict(os.environ),
+}
+
+#: What the guard swaps out, as (module, attribute).
+GUARDED = [(time, name) for name in CLOCKS] + [(os, "environ")]
+
+
+@pytest.fixture
+def global_rngs_kept():
+    """Put the global RNGs back after a test that moves them on purpose."""
+    state = random.getstate()
+    np = numpy_or_none()
+    np_state = np.random.get_state() if np is not None else None
+    yield
+    random.setstate(state)
+    if np is not None:
+        np.random.set_state(np_state)
+
+
+class TestPurityGuard:
+    """The guard fails each impure act it is there for, and only those.
+
+    A guard that never fires on a clean catalog shows nothing unless it is
+    seen to fire on the acts it stands against.
+    """
+
+    @pytest.mark.parametrize("act", sorted(GLOBAL_RANDOM_ACTS))
+    def test_global_random_act_fails(self, act, global_rngs_kept):
+        with pytest.raises(AssertionError, match="global RNG"):
+            with purity_guard():
+                GLOBAL_RANDOM_ACTS[act]()
+
+    @pytest.mark.parametrize("act", sorted(NUMPY_RANDOM_ACTS))
+    def test_numpy_global_random_act_fails(self, act, global_rngs_kept):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(AssertionError, match="global RNG"):
+            with purity_guard():
+                NUMPY_RANDOM_ACTS[act](np)
+
+    def test_seeded_instance_draws_pass(self):
+        with purity_guard():
+            rng = random.Random(5)
+            rng.shuffle([1, 2, 3])
+            rng.random()
+
+    def test_seeded_numpy_generator_draws_pass(self):
+        np = pytest.importorskip("numpy")
+        with purity_guard():
+            np.random.default_rng(5).random(3)
+
+    @pytest.mark.parametrize("name", CLOCKS)
+    def test_clock_read_raises(self, name):
+        with purity_guard():
+            with pytest.raises(AssertionError, match=rf"time\.{name}\(\)"):
+                getattr(time, name)()
+
+    @pytest.mark.parametrize("read", sorted(ENVIRON_READS))
+    def test_environ_read_raises(self, read):
+        with purity_guard():
+            with pytest.raises(AssertionError, match="os.environ"):
+                ENVIRON_READS[read]()
+
+    @pytest.mark.parametrize(
+        "module, name", GUARDED, ids=[f"{m.__name__}.{n}" for m, n in GUARDED]
+    )
+    def test_failing_run_restores_what_the_guard_swapped(self, module, name):
+        original = getattr(module, name)
+        with pytest.raises(RuntimeError):
+            with purity_guard():
+                raise RuntimeError("the driver failed")
+        assert getattr(module, name) is original
+
+    def test_clean_run_restores_what_the_guard_swapped(self):
+        originals = [getattr(module, name) for module, name in GUARDED]
+        with purity_guard():
+            pass
+        assert [getattr(module, name) for module, name in GUARDED] == originals
+        assert os.getenv("PATH") == os.environ.get("PATH")
+
+    @pytest.mark.parametrize("impurity", ["clock", "environ", "global-rng"])
+    def test_drive_runs_the_driver_under_the_guard(self, impurity, global_rngs_kept):
+        scenario = get_scenario("sssp/er")
+        real = get_algorithm_spec(scenario.algorithm).resolve()
+        act = {
+            "clock": lambda: time.perf_counter(),
+            "environ": lambda: os.getenv("PATH"),
+            "global-rng": lambda: random.random(),
+        }[impurity]
+
+        def impure(graph, seed, metrics):
+            act()
+            return real(graph, seed, metrics)
+
+        with pytest.raises(AssertionError):
+            drive(scenario, impure, scenario.build_graph(12, 0), 0)
+
+    def test_unseeded_instance_fails_the_repeated_seed(self):
+        scenario = get_scenario("sssp/er")
+
+        def unseeded(graph, seed, metrics):
+            return {"pick": random.Random().randrange(10**9)}
+
+        with pytest.raises(AssertionError, match="seed 0 gave two different runs"):
+            distinct_runs(scenario, unseeded)
+
+    def test_seeded_instance_passes_the_repeated_seed(self):
+        scenario = get_scenario("sssp/er")
+
+        def seeded(graph, seed, metrics):
+            return {"pick": random.Random(seed).randrange(10**9)}
+
+        assert distinct_runs(scenario, seeded) == 4
 
 
 class TestSeedVariation:
@@ -316,6 +543,81 @@ class TestSeedVariation:
     def test_two_seeds_differ_for_sleeping_scenario(self):
         rows = [run_scenario("energy-bfs/path", 12, seed=seed) for seed in range(4)]
         assert len({(row["rounds"], row["energy"]) for row in rows}) > 1
+
+
+def string_labelled(graph: Graph) -> Graph:
+    """``graph`` with each node ``u`` renamed ``f"v{u}"``, in the same order."""
+    return Graph.from_edges(
+        ((f"v{u}", f"v{v}", w) for u, v, w in graph.edges()),
+        nodes=(f"v{u}" for u in graph.nodes()),
+    )
+
+
+def hash_order_report() -> dict:
+    """This process's string set order, and a digest of each scenario's runs.
+
+    The runs are on string-labelled instances, seeds 0 and 1.
+    """
+    digests = {}
+    for name in list_scenarios():
+        scenario = get_scenario(name)
+        driver = get_algorithm_spec(scenario.algorithm).resolve()
+        digests[name] = []
+        for seed in (0, 1):
+            graph = string_labelled(scenario.build_graph(12, seed))
+            key = run_key(*drive(scenario, driver, graph, seed))
+            digests[name].append(hashlib.sha256(key.encode()).hexdigest()[:16])
+    return {"set_order": list({f"v{u}" for u in range(12)}), "digests": digests}
+
+
+class TestHashOrder:
+    """A run must not depend on set or dict order of hashed labels.
+
+    Small ints hash to themselves, so on the catalog's int-labelled graphs
+    set order is the same in every process.  String hashes change with
+    ``PYTHONHASHSEED``, so the same runs on string labels under two hash
+    seeds show any order that leaks from a set into a run.  Both reports
+    come from two subprocesses, run once for the whole class.
+    """
+
+    HASH_SEEDS = ("1", "3")
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        script = (
+            f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "import test_driver_catalog as t; print(json.dumps(t.hash_order_report()))"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+                env={**subprocess_env(), "PYTHONHASHSEED": hash_seed},
+            )
+            for hash_seed in self.HASH_SEEDS
+        ]
+        reports = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err[-2000:]
+            reports.append(json.loads(out))
+        return reports
+
+    def test_the_hash_seeds_order_string_sets_differently(self, reports):
+        # Control: if both processes iterated string sets alike, no leak
+        # could show below.
+        first, second = (report["set_order"] for report in reports)
+        assert sorted(first) == sorted(second)
+        assert first != second
+
+    def test_both_processes_ran_every_scenario(self, reports):
+        for report in reports:
+            assert list(report["digests"]) == list_scenarios()
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_string_labelled_runs_agree_across_hash_seeds(self, name, reports):
+        first, second = (report["digests"].get(name) for report in reports)
+        assert first == second, f"{name}: runs (seeds 0, 1) depend on the hash seed"
 
 
 class TestRowContract:

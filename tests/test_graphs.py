@@ -98,6 +98,58 @@ class TestDerivedGraphs:
         sub = g.induced_subgraph({0, 1})
         assert sub.weight(0, 1) == 7
 
+    @pytest.mark.parametrize(
+        "container", ["set", "frozenset", "reversed-list", "tuple", "generator", "dict"]
+    )
+    def test_induced_subgraph_keeps_the_parents_node_order(self, container):
+        # Node order is the parent's insertion order whatever order ``keep``
+        # iterates in; string labels iterate a set in hash order.
+        labels = [f"v{i}" for i in (5, 3, 8, 0, 9, 1, 7)]
+        g = Graph.from_edges(zip(labels, labels[1:]))
+        kept = labels[::2]
+        keep = {
+            "set": lambda: set(kept),
+            "frozenset": lambda: frozenset(kept),
+            "reversed-list": lambda: kept[::-1],
+            "tuple": lambda: tuple(sorted(kept)),
+            "generator": lambda: (u for u in reversed(kept)),
+            "dict": lambda: dict.fromkeys(sorted(kept)),
+        }[container]()
+        assert list(g.induced_subgraph(keep).nodes()) == kept
+
+    def test_induced_subgraph_ignores_labels_not_in_the_graph(self):
+        g = graphs.path_graph(4)
+        sub = g.induced_subgraph({1, 2, 99})
+        assert list(sub.nodes()) == [1, 2]
+        assert sub.num_edges == 1
+
+    def test_induced_subgraph_order_is_the_same_under_two_hash_seeds(self):
+        import json
+        import subprocess
+        import sys
+
+        from repro.testing import subprocess_env
+
+        script = (
+            "import json; from repro.graphs import Graph; "
+            "labels = [f'v{i}' for i in range(20)]; "
+            "g = Graph.from_edges(zip(labels, labels[1:])); "
+            "sub = g.induced_subgraph(set(labels[::3])); "
+            "print(json.dumps([list(sub.nodes()), list(set(labels))]))"
+        )
+        runs = []
+        for hash_seed in ("1", "3"):
+            out = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**subprocess_env(), "PYTHONHASHSEED": hash_seed}, timeout=60,
+            )
+            assert out.returncode == 0, out.stderr[-2000:]
+            runs.append(json.loads(out.stdout))
+        (nodes1, set_order1), (nodes3, set_order3) = runs
+        assert nodes1 == nodes3 == [f"v{i}" for i in range(0, 20, 3)]
+        # Control: the two hash seeds do order a set of these labels apart.
+        assert set_order1 != set_order3
+
     def test_reweighted(self):
         g = Graph.from_edges([(0, 1, 2), (1, 2, 5)])
         doubled = g.reweighted(lambda w: 2 * w)

@@ -189,6 +189,17 @@ class TestSweepSpecExecution:
             assert metrics.max_congestion == record["congestion"]
             assert metrics.max_energy == record["energy"]
 
+    def test_store_lines_match_across_worker_counts_as_sorted_lines(self, tmp_path):
+        # A store's lines come in completion order, which at workers > 1
+        # varies from run to run; the lines themselves may not.
+        stores = []
+        for workers in (1, 2):
+            path = tmp_path / f"runs-{workers}.jsonl"
+            run_sweep_spec(SweepSpec(scenarios=SCENARIOS, sizes=(9, 16), seeds=(0,),
+                                     workers=workers, output=str(path)))
+            stores.append(sorted(path.read_text().splitlines()))
+        assert stores[0] == stores[1]
+
 
 class TestResume:
     @pytest.mark.parametrize("workers", [1, 3])
