@@ -6,7 +6,29 @@ the recursion's congestion wins on dense graphs while staying ~O(n) time.
 """
 
 from _bench import record_table, run_once
-from repro.bench import E8_SIZES as SIZES, e8_sweep as run_sweep
+from repro import graphs, run_bellman_ford, run_distributed_dijkstra, sssp
+from repro.sim import Metrics
+
+SIZES = [16, 24, 32, 48]
+
+
+def run_sweep():
+    rows = []
+    summary = []
+    for n in SIZES:
+        g = graphs.random_weights(
+            graphs.random_connected_graph(n, extra_edge_prob=4.0 / n, seed=n), 9, seed=n
+        )
+        res = sssp(g, 0)
+        m_bf, m_dij = Metrics(), Metrics()
+        run_bellman_ford(g, 0, metrics=m_bf)
+        run_distributed_dijkstra(g, 0, metrics=m_dij)
+        for name, m in (
+            ("cssp-sssp", res.metrics), ("bellman-ford", m_bf), ("dijkstra", m_dij)
+        ):
+            rows.append([n, name, m.rounds, m.total_messages, m.max_congestion])
+        summary.append((n, res.metrics, m_bf, m_dij))
+    return rows, summary
 
 
 def test_e8_baseline_comparison(benchmark):

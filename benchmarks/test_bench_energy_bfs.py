@@ -11,7 +11,43 @@ Two tables:
 """
 
 from _bench import record_table, run_once
-from repro.bench import E6_SIZES as SIZES, e6_measure as measure, e6_sweep as run_sweep
+from repro import graphs
+from repro.energy.covers import build_layered_cover
+from repro.energy.low_energy_bfs import run_low_energy_bfs
+from repro.sim import Metrics
+
+SIZES = [16, 32, 64, 128]
+
+
+def measure(n: int) -> dict:
+    g = graphs.path_graph(n)
+    cover = build_layered_cover(g, n, base=4, stretch=3)
+    m = Metrics()
+    dist, sched = run_low_energy_bfs(g, cover, {0: 0}, n, metrics=m)
+    assert dist == g.hop_distances([0])
+    total_roles: dict = {}
+    for cov in cover.levels:
+        for c in cov.clusters:
+            for u in c.tree_parent:
+                total_roles[u] = total_roles.get(u, 0) + 1
+    max_roles = max(total_roles.values())
+    mega_wakes = m.max_energy // sched.omega
+    return {
+        "n": n,
+        "D": n - 1,
+        "rounds": m.rounds,
+        "sigma": sched.sigma,
+        "omega": sched.omega,
+        "energy": m.max_energy,
+        "mega_wakes": mega_wakes,
+        "max_roles": max_roles,
+        "wakes_per_role": round(mega_wakes / max_roles, 1),
+        "awake_fraction": round(m.max_energy / m.rounds, 3),
+    }
+
+
+def run_sweep():
+    return [measure(n) for n in SIZES]
 
 
 def test_e6_energy_bfs(benchmark):

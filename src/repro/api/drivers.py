@@ -48,7 +48,8 @@ catalog table):
 * ``energy-bfs``/``energy-bfs-scratch`` — Thm 3.8 query costs in the main
   ``rounds``/``energy`` columns; the ``preprocess_*`` columns charge the
   Thm 3.11/3.13 cover construction (synchronous CONGEST, reported
-  separately per DESIGN.md decision 4);
+  separately; DESIGN.md, "Cover construction runs in synchronous CONGEST
+  form");
 * ``energy-cssp`` — Thm 3.15 (construction and query interleave inside the
   recursion, so the main columns charge both).
 """
@@ -257,7 +258,7 @@ def drive_boruvka(graph, seed: int, metrics) -> dict:
     ``mst_weight`` check against sequential Kruskal is additionally exact;
     on non-uniform weights the forest weight is only bounded below by the
     MST weight, and exceeding that bound is not an error.  Deterministic
-    per instance: no source; the seed varies only the graph instance.
+    per instance: no source, so the seed is unused.
     """
     from ..core import build_maximal_forest
 
@@ -348,8 +349,8 @@ def drive_labeled_bfs(graph, seed: int, metrics, num_sources: int = 3) -> None:
 def drive_decomposition(graph, seed: int, metrics, separation: int = 2) -> dict:
     """k-separated decomposition (Thm 3.10), vs the structural validator.
 
-    Deterministic per instance (the paper's construction is deterministic);
-    the seed varies only the graph instance.  Quality columns report the
+    Deterministic per instance (the paper's construction is deterministic),
+    so the seed is unused.  Quality columns report the
     cluster/color counts and the max Steiner-tree load per edge — the
     quantities Thm 3.10 bounds.
     """
@@ -450,7 +451,8 @@ def drive_energy_bfs(graph, seed: int, metrics, base: int = 4, stretch: int = 3)
     The main ``rounds``/``energy`` columns meter the *query* (the Thm 3.8
     claim); the layered-cover construction it presupposes is metered into
     the ``preprocess_*`` columns (Thm 3.11 synchronous CONGEST cost,
-    reported separately per DESIGN.md decision 4 — folding it into the main
+    reported separately, see DESIGN.md "Cover construction runs in
+    synchronous CONGEST form" — folding it into the main
     columns would mix always-awake construction energy into the sleeping
     query energy the theorem is about).
     """
@@ -481,8 +483,9 @@ def drive_energy_bfs_scratch(
     """From-scratch low-energy BFS (Thms 3.13/3.14), vs hop distances.
 
     Nobody hands this driver a cover: the bootstrap pipeline builds the
-    layered cover itself (``preprocess_*`` columns, synchronous CONGEST per
-    DESIGN.md decision 4) and then runs the Thm 3.8 query (main columns).
+    layered cover itself (``preprocess_*`` columns, synchronous CONGEST; see
+    DESIGN.md "Cover construction runs in synchronous CONGEST form") and
+    then runs the Thm 3.8 query (main columns).
     """
     from ..energy import low_energy_bfs_from_scratch
     from ..sim import Metrics

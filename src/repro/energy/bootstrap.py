@@ -5,12 +5,14 @@ the algorithm builds sparse ``r_j``-covers level by level — stopping as soon
 as some cluster spans the whole graph (the Section 3.6 termination rule,
 since nodes do not know ``D``) — and then runs the sleeping-model
 thresholded BFS of Theorem 3.8 on top.  Reproduction scope note (DESIGN.md,
-decision 4): the per-level construction runs in its synchronous CONGEST
-form; Theorem 3.12's refinement — routing the construction's own BFSs
-through the previous level's low-energy BFS — changes the construction's
-*energy* accounting but not its outputs, so the query-phase energy numbers
-(the ones Theorem 3.8 is about) are exact while construction energy is
-reported separately as synchronous cost.
+"Cover construction runs in synchronous CONGEST form"): the per-level
+construction runs in its synchronous CONGEST form; Theorem 3.12's
+refinement — routing the construction's own BFSs through the previous
+level's low-energy BFS — changes the construction's *energy* accounting but
+not its outputs, so the query-phase energy numbers (the ones Theorem 3.8 is
+about) are exact while construction energy is its synchronous cost.
+:func:`low_energy_bfs_from_scratch` meters the two phases separately;
+:func:`energy_approx_cssp` charges both to one ``Metrics``.
 
 *Energy-model CSSP* (Theorem 3.15): the Section 2.3 recursion, verbatim,
 with the approximate cutter's thresholded BFS replaced by the low-energy

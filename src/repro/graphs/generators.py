@@ -283,8 +283,11 @@ FAMILIES: dict[str, Callable[[int], Graph]] = {
 def make_family(name: str, n: int, max_weight: int = 1, seed: int = 0) -> Graph:
     """Build a named family instance at (approximately) ``n`` nodes.
 
-    For ``max_weight > 1`` the instance gets random integer weights in
-    ``[1, max_weight]``.
+    The topology comes from ``name`` and ``n`` alone: the random families
+    (``tree``, ``er``) use a fixed generator seed.  ``seed`` draws only the
+    weights, and only for ``max_weight > 1`` (random integers in
+    ``[1, max_weight]``), so at ``max_weight == 1`` every seed gives the
+    same instance.
     """
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}; options: {sorted(FAMILIES)}")

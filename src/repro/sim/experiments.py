@@ -76,7 +76,6 @@ __all__ = [
     "list_algorithms",
     "run_scenario",
     "scenario_digest",
-    "smoke_sweep",
     "clear_graph_cache",
     "ROW_FIELDS",
 ]
@@ -622,9 +621,3 @@ def _worker_loop(task_pipe, result_pipe, spec, with_metrics: bool) -> None:
         else:
             result_pipe.send(("ok", result))
 
-
-def smoke_sweep(workers: int | None = None) -> list[dict]:
-    """The fixed tiny sweep behind ``python -m repro sweep --smoke`` (CI entry)."""
-    from ..api import run_sweep_spec, smoke_spec
-
-    return run_sweep_spec(smoke_spec(workers=workers))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import (
     AlgorithmSpec,
-    BenchSpec,
     ReportSpec,
     SpecError,
     SweepSpec,
@@ -76,7 +75,7 @@ class TestSweepSpecValidation:
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SpecError, match="expected kind"):
-            SweepSpec.from_dict({"kind": "bench"})
+            SweepSpec.from_dict({"kind": "report"})
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SpecError, match="invalid JSON"):
@@ -91,25 +90,36 @@ class TestSweepSpecValidation:
 
 
 class TestOtherSpecs:
-    def test_bench_round_trip(self):
-        spec = BenchSpec(experiments=("E2", "smoke"), repeats=2, quick=True, factor=1.5)
-        assert BenchSpec.from_json(spec.to_json()) == spec
-
-    def test_bench_validation(self):
-        for bad in ({"repeats": 0}, {"factor": 0}, {"quick": "yes"}, {"experiments": ()}):
-            with pytest.raises(SpecError):
-                BenchSpec(**bad).validate()
-
     def test_report_round_trip(self):
         spec = ReportSpec(results_dir="benchmarks/results", output="out.md")
         assert ReportSpec.from_json(spec.to_json()) == spec
 
     def test_load_spec_dispatches_on_kind(self, tmp_path):
-        for spec in (SweepSpec(sizes=(8,)), BenchSpec(repeats=1), ReportSpec()):
+        for spec in (SweepSpec(sizes=(8,)), ReportSpec()):
             path = spec.save(tmp_path / f"{spec.kind}.json")
             loaded = load_spec(path)
             assert type(loaded) is type(spec)
             assert loaded == spec
+
+    def test_report_validation(self):
+        for bad in ({"results_dir": 3}, {"output": 5}):
+            with pytest.raises(SpecError, match="report spec"):
+                ReportSpec(**bad).validate()
+
+    def test_load_spec_rejects_the_retired_bench_kind(self):
+        # ``repro bench`` and its spec are gone: an old bench spec file is
+        # an unknown kind, not silently read as some other job.
+        with pytest.raises(SpecError, match=r"unknown spec kind 'bench'; options: \['report', 'sweep'\]"):
+            load_spec({"kind": "bench", "experiments": ["smoke"], "repeats": 1})
+
+    def test_public_api_names_resolve(self):
+        import repro.api as api
+
+        assert len(set(api.__all__)) == len(api.__all__)
+        for name in api.__all__:
+            assert getattr(api, name) is not None, name
+        for retired in ("BenchSpec", "BenchOutcome", "run_bench_spec"):
+            assert not hasattr(api, retired), retired
 
     def test_load_spec_unknown_kind(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,7 +24,8 @@ _SEED_REACHES = "tests/test_driver_catalog.py::TestSeedVariation::test_driver_se
 
 #: Census row -> (mutation, module under src/repro, the cheapest tier-1 test
 #: that fails on it, [(anchor, replacement), ...]).  The comment names the
-#: deleted lint rule that used to fire on the row.
+#: deleted lint rule that used to fire on the row.  Row 27 has none: no
+#: rule fired on it (P206 missed it).
 CAUGHT_AT_RUN_TIME = {
     3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py',  # P203
         f'{_SEED_REACHES}[labeled-bfs/grid]', [
@@ -119,10 +120,15 @@ CAUGHT_AT_RUN_TIME = {
         ('        codes = []\n        append = codes.append\n        for i in awake:',
          '        codes = []\n        append = codes.append\n        awake.reverse()\n        for i in awake:'),
     ]),
+    27: ("_LabeledBFSKernel's scalar offer loop clamps the CSR weight column", 'energy/labeled_bfs.py',
+         f'{_SEED_REACHES}[labeled-bfs/grid]', [
+        ('                    for p in range(lo, hi):\n                        offer = dist + wt[p]\n',
+         '                    for p in range(lo, hi):\n                        wt[p] = max(wt[p], 1)\n                        offer = dist + wt[p]\n'),
+    ]),
 }
 
 #: Rows that only a batch kernel can show: without numpy no kernel runs.
-NEEDS_NUMPY = {24}
+NEEDS_NUMPY = {24, 27}
 
 
 def mutate(source: str, edits: list) -> str:

@@ -46,7 +46,7 @@ class TestCLI:
     def test_help_flag_lists_every_subcommand(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for command in ("info", "demo", "sweep", "bench", "report"):
+        for command in ("info", "demo", "sweep", "report"):
             assert command in out
         assert "--spec" in out  # the spec workflow is advertised
 
@@ -57,8 +57,9 @@ class TestCLI:
                      "--output", "--smoke", "--spec", "--json"):
             assert flag in out
 
-    def test_unknown_command_exits_2_with_usage(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @pytest.mark.parametrize("command", ["frobnicate", "bench", "lint"])
+    def test_unknown_command_exits_2_with_usage(self, command, capsys):
+        assert main([command]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err
 
@@ -169,8 +170,8 @@ class TestSweepSpecCLI:
         assert len(store.read_text().splitlines()) == 3  # the cell re-ran
 
     def test_wrong_spec_kind_exits_2(self, tmp_path, capsys):
-        spec_file = tmp_path / "bench.json"
-        spec_file.write_text(json.dumps({"kind": "bench"}))
+        spec_file = tmp_path / "report.json"
+        spec_file.write_text(json.dumps({"kind": "report"}))
         assert main(["sweep", "--spec", str(spec_file)]) == 2
         assert "expected 'sweep'" in capsys.readouterr().err
 
@@ -256,100 +257,3 @@ class TestShardCLI:
         assert main(["sweep", *self.SELECTORS, "--max-retries", "-1"]) == 2
         assert main(["sweep", *self.SELECTORS, "--task-timeout", "0"]) == 2
 
-
-class TestBenchCLI:
-    def test_bench_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "BENCH.json"
-        code = main(
-            ["bench", "--experiments", "smoke", "--repeats", "1",
-             "--output", str(target)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smoke" in out
-        data = json.loads(target.read_text())
-        assert set(data) == {"smoke", "_meta"}
-        assert data["smoke"] > 0
-        # The provenance block records what produced the numbers; the
-        # quick-gate comparator skips it (non-numeric) by construction.
-        from repro.sim.kernels import current_backend
-
-        assert data["_meta"]["backend"] == current_backend()
-        assert data["_meta"]["python"]
-
-    def test_bench_json_output(self, tmp_path, capsys):
-        target = tmp_path / "BENCH.json"
-        code = main(["bench", "--experiments", "smoke", "--repeats", "1",
-                     "--output", str(target), "--json"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["results"]["smoke"] > 0
-        assert data["wrote"] == str(target)
-
-    def test_bench_spec_file(self, tmp_path, capsys):
-        spec_file = tmp_path / "bench.json"
-        spec_file.write_text(json.dumps({
-            "kind": "bench", "experiments": ["smoke"], "repeats": 1,
-            "output": str(tmp_path / "B.json"),
-        }))
-        assert main(["bench", "--spec", str(spec_file)]) == 0
-        assert json.loads((tmp_path / "B.json").read_text())["smoke"] > 0
-
-    def test_bench_quick_without_baseline_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        # A missing baseline must never read as "gate passed": the old
-        # behavior exited 0 with zero violations, silently skipping the
-        # CI perf gate.
-        monkeypatch.chdir(tmp_path)  # no BENCH.json here
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 1
-        err = capsys.readouterr().err
-        assert "no recorded baseline" in err and "SKIPPED" in err
-
-    def test_bench_quick_without_baseline_json_carries_gate_field(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--experiments", "smoke", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["gate"] == "skipped-no-baseline"
-        assert payload["violations"] == []
-
-    def test_bench_quick_with_baseline_json_gate_ok(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 1e9}))
-        assert main(["bench", "--quick", "--experiments", "smoke", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["gate"] == "ok"
-
-    def test_bench_quick_flags_regression(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        # An absurdly fast recorded baseline forces the 2x gate to trip.
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 0.001}))
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-    def test_bench_quick_gates_before_overwriting_the_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # --output pointing at the baseline file must still gate against
-        # the OLD recorded numbers, not the freshly written ones.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 0.001}))
-        assert main(["bench", "--quick", "--experiments", "smoke",
-                     "--output", "BENCH.json"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-        # ... and the refreshed numbers were still written for inspection.
-        assert json.loads((tmp_path / "BENCH.json").read_text())["smoke"] > 1
-
-    def test_bench_quick_passes_against_generous_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH.json").write_text(json.dumps({"smoke": 1e9}))
-        assert main(["bench", "--quick", "--experiments", "smoke"]) == 0
-        assert "within" in capsys.readouterr().out
-
-    def test_bench_unknown_experiment_rejected(self, capsys):
-        assert main(["bench", "--experiments", "nope", "--repeats", "1"]) == 2
-
-    def test_bench_bad_repeats_exits_2(self, capsys):
-        assert main(["bench", "--repeats", "fast"]) == 2
-        assert "usage:" in capsys.readouterr().err

@@ -245,14 +245,14 @@ class TestCatalogDifferential:
         assert sorted(tuple(row)[len(ROW_FIELDS):]) == list(tuple(row)[len(ROW_FIELDS):])
 
 
-#: Algorithms that are deterministic per instance: the sweep seed varies
-#: only the graph they run on, so on one fixed instance every seed must give
-#: the same run.  Every other registered algorithm must use its seed.
+#: Algorithms that draw nothing: the driver ignores its seed, so on one
+#: fixed instance every seed must give the same run.  Every other
+#: registered algorithm must use its seed.
 SEED_FREE = {
     "boruvka": "fragments merge by edge id",
-    "decomposition": "the seed varies the graph only",
-    "sparse-cover": "the seed varies the graph only",
-    "layered-cover": "the seed varies the graph only",
+    "decomposition": "the construction is deterministic per instance",
+    "sparse-cover": "the construction is deterministic per instance",
+    "layered-cover": "the construction is deterministic per instance",
 }
 
 

@@ -333,6 +333,32 @@ class TestGenerators:
             graphs.make_family("nope", 10)
 
 
+class TestMakeFamilySeed:
+    """``make_family`` takes its topology from ``n`` alone; the seed draws
+    only weights, and only when ``max_weight > 1``.  Changing this moves
+    every sweep row and perfbench digest, so it is pinned here."""
+
+    @pytest.mark.parametrize("name", sorted(graphs.FAMILIES))
+    def test_unit_weight_instance_ignores_the_seed(self, name):
+        graphs_by_seed = [graphs.make_family(name, 20, seed=s) for s in range(4)]
+        first = graphs_by_seed[0]
+        assert all(w == 1 for _, _, w in first.edges())
+        for g in graphs_by_seed[1:]:
+            assert list(g.nodes()) == list(first.nodes())
+            assert list(g.edges()) == list(first.edges())
+
+    @pytest.mark.parametrize("name", sorted(graphs.FAMILIES))
+    def test_seed_draws_only_the_weights(self, name):
+        unit = graphs.make_family(name, 20)
+        weighted = [graphs.make_family(name, 20, max_weight=9, seed=s) for s in range(4)]
+        topology = [(u, v) for u, v, _ in unit.edges()]
+        for g in weighted:
+            assert list(g.nodes()) == list(unit.nodes())
+            assert [(u, v) for u, v, _ in g.edges()] == topology
+            assert all(1 <= w <= 9 for _, _, w in g.edges())
+        assert len({tuple(w for _, _, w in g.edges()) for g in weighted}) > 1
+
+
 def _edge_set(g):
     return {(frozenset((u, v)), w) for u, v, w in g.edges()}
 
