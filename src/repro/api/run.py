@@ -46,7 +46,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from .resultset import ResultSet, cell_key, failure_record
+from .resultset import ResultSet, failure_record
 from .shard import shard_cells, shard_store_path
 from .specs import ReportSpec, SpecError, SweepSpec
 

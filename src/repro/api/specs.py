@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = ["SpecError", "Spec", "SweepSpec", "ReportSpec", "load_spec"]

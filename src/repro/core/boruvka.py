@@ -36,7 +36,8 @@ implementation is event-driven, each node is *awake* for only ``O(log n)``
 scheduled rounds plus its message arrivals — the low-energy adaptation of
 [AMJP22] (Theorem 3.1) is obtained by running this same protocol under the
 sleeping-model accounting with buffered wake-ups standing in for AMJP22's
-wake-up machinery (see DESIGN.md, decision 2).
+wake-up machinery (see DESIGN.md, "Boruvka's low energy comes from
+buffered wake-ups").
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ import math
 
 from ..graphs import Graph, INFINITY
 from ..sim import Metrics
+from ..sim.memo import memoized
 from .bfs import run_weighted_bfs
 from .boruvka import build_maximal_forest
 from .cutter import approx_cssp
@@ -73,10 +74,11 @@ def cssp(
     zero-weight edges are handled by contraction (Theorem 2.7).
 
     The recursion builds the Boruvka forest of the same graph again
-    whenever ``V1`` keeps every node, so its forests go through a
-    construction memo (:func:`repro.sim.memo.memoized`).  Each call makes
-    its own unless the caller passes ``memo`` to share one; either way the
-    charged cost is that of building every forest.
+    whenever ``V1`` keeps every node, and runs the same "everyone done?"
+    convergecast over it, so both go through a construction memo
+    (:func:`repro.sim.memo.memoized`).  Each call makes its own unless the
+    caller passes ``memo`` to share one; either way the charged cost is
+    that of running every one.
 
     Returns ``(distances, metrics)``; unreachable nodes map to ``INFINITY``.
     """
@@ -150,8 +152,8 @@ def _thresholded_recursive(
     ``cutter`` is the approximate-cutter strategy with the signature of
     :func:`repro.core.cutter.approx_cssp`; the energy-model CSSP (Theorem
     3.15) injects its sleeping-model cutter here and reuses the entire
-    recursion unchanged.  ``memo`` is the forest memo of
-    :func:`repro.core.boruvka.build_maximal_forest`.
+    recursion unchanged.  ``memo`` is the construction memo that serves
+    the Boruvka forests and the done-casts over them.
     """
     if cutter is None:
         cutter = approx_cssp
@@ -189,8 +191,15 @@ def _thresholded_recursive(
     # Per-component "everyone done?" convergecast + start-round broadcast.
     # Components proceed independently (non-sequential merge would be ideal;
     # we charge the max component size, the paper's Theta(|C|) start gap).
-    done_flags = {u: (u not in v1) or (u in dist1) for u in graph.nodes()}
-    run_convergecast_broadcast(graph, forest, done_flags, all, metrics=metrics)
+    # Every flag is True: a node outside V1 is done, and the recursion on
+    # V1 returns a distance for each of its nodes.  So the run depends on
+    # the graph and its forest alone, and the memo replays it.
+    memoized(
+        memo, metrics, graph, ("done-cast",),
+        lambda cost: run_convergecast_broadcast(
+            graph, forest, dict.fromkeys(graph.nodes(), True), all, metrics=cost
+        ),
+    )
     components = forest.components()
     if components:
         metrics.record_rounds(max(len(c) for c in components.values()))

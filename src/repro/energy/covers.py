@@ -14,9 +14,10 @@ A *layered sparse D-cover* stacks sparse ``r_j``-covers for geometrically
 growing radii with a parent relation: ``parent(C)`` fully contains ``C``
 and its ``r_{j+1}/2``-neighborhood (Observation 3.3 / Definition 3.4).
 
-Scaled-constants note (DESIGN.md, decision 1): the paper takes
-``B = Theta(log^3 n)`` so that ``B/2`` exceeds the cover stretch.  At
-simulation scale we instead escalate radii *adaptively* —
+Scaled-constants note (DESIGN.md, "Cover radii escalate by measured
+stretch"): the paper takes ``B = Theta(log^3 n)`` so that ``B/2``
+exceeds the cover stretch.  At simulation scale we instead escalate
+radii *adaptively* —
 ``r_{j+1} = max(B * r_j, 2 * max tree radius at level j)`` — which is
 precisely the inequality Observation 3.3 needs, with measured stretch
 substituted for the worst-case bound.  Distances are weighted throughout

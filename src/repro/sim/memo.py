@@ -2,9 +2,10 @@
 
 Some constructions are pure functions of their input graph's CSR snapshot
 and a few parameters, and the recursions ask for the same input again and
-again: the CSSP recursion rebuilds the Boruvka forest of the same graph
-whenever ``V1`` keeps every node, the energy cutter rebuilds the same
-sparse covers, and APSP runs ``n`` sources over one graph.
+again: the CSSP recursion rebuilds the Boruvka forest of the same graph, and
+reruns its "everyone done?" convergecast over that forest, whenever
+``V1`` keeps every node; the energy cutter rebuilds the same sparse
+covers; and APSP runs ``n`` sources over one graph.
 
 :func:`memoized` serves all of them from a caller-owned dict.  A miss
 builds the construction against a fresh :class:`Metrics`; a hit returns

@@ -18,12 +18,28 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
 
 __all__ = ["Metrics", "SendTrace"]
 
 #: The shared columns of a one-wake segment (:meth:`SendTrace.stamp_wake`).
 _ROUND_ZERO, _ONE = array("q", [0]), array("q", [1])
+
+
+def _add_counts(target: Counter, other: Counter) -> None:
+    """``target.update(other)`` for a mapping ``other``, looped in C.
+
+    ``Counter.update`` adds a mapping into a non-empty counter one key at
+    a time in Python.  This sums the same pairs and inserts new keys in
+    the same order, through ``dict.update`` over a lazy ``zip``; each
+    key's old count is read before its new count is stored.  An empty
+    ``other`` (a replayed run records no participation) costs one test.
+    """
+    if other:
+        dict.update(
+            target, zip(other, map(add, map(target.get, other, repeat(0)), other.values()))
+        )
 
 
 class SendTrace:
@@ -272,9 +288,9 @@ class Metrics:
         self.messages_duplicated += other.messages_duplicated
         self.nodes_crashed += other.nodes_crashed
         self.recoveries += other.recoveries
-        self.edge_messages.update(other.edge_messages)
-        self.awake_rounds.update(other.awake_rounds)
-        self.subproblem_participation.update(other.subproblem_participation)
+        _add_counts(self.edge_messages, other.edge_messages)
+        _add_counts(self.awake_rounds, other.awake_rounds)
+        _add_counts(self.subproblem_participation, other.subproblem_participation)
 
     def copy(self) -> "Metrics":
         out = type(self)()

@@ -305,6 +305,27 @@ def _count_forests(monkeypatch) -> tuple[list, list]:
     return requests, builds
 
 
+def _count_done_casts(monkeypatch) -> tuple[list, list]:
+    """Count the recursion's done-cast requests and its real runs."""
+    requests, builds = [], []
+    real_memoized = cssp_module.memoized
+    real_run = cssp_module.run_convergecast_broadcast
+
+    def requested(memo, metrics, graph, params, construct):
+        if params == ("done-cast",):
+            requests.append(graph)
+        return real_memoized(memo, metrics, graph, params, construct)
+
+    def run(graph, forest, values, combine, **kwargs):
+        if combine is all:  # the zero-weight broadcast combines otherwise
+            builds.append(graph)
+        return real_run(graph, forest, values, combine, **kwargs)
+
+    monkeypatch.setattr(cssp_module, "memoized", requested)
+    monkeypatch.setattr(cssp_module, "run_convergecast_broadcast", run)
+    return requests, builds
+
+
 class TestForestMemo:
     @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("name", sorted(FOREST_CASES))
@@ -412,3 +433,45 @@ class TestForestMemo:
             build_maximal_forest(graph, metrics=Metrics(), memo=memo)
             build_maximal_forest(graph, metrics=Metrics(), memo=memo)
         assert len(builds) == 2 and not memo
+
+
+class TestDoneCastMemo:
+    """The recursion's "everyone done?" convergecast runs on all-True flags,
+    so it is a function of the graph and goes through the memo."""
+
+    @pytest.mark.parametrize("name", sorted(FOREST_CASES))
+    def test_every_done_flag_is_true(self, name, monkeypatch):
+        """The flag ``(u not in V1) or (u in dist1)`` is True for every node
+        when each call of the recursion answers every node of its graph:
+        ``dist1`` is the answer on the graph induced by ``V1``."""
+        calls = []
+        real = cssp_module._thresholded_recursive
+
+        def checked(graph, sources, threshold, **kwargs):
+            result = real(graph, sources, threshold, **kwargs)
+            calls.append(set(result) == set(graph.nodes()))
+            return result
+
+        monkeypatch.setattr(cssp_module, "_thresholded_recursive", checked)
+        build, sources = FOREST_CASES[name]
+        distances, _ = cssp(build(), sources)
+        assert len(calls) > 1 and all(calls)
+        assert distances == oracle_distances(build(), sources)
+
+    def test_repeated_done_casts_are_run_once(self, monkeypatch):
+        build, sources = FOREST_CASES["er-seed0"]
+        with monkeypatch.context() as patch:
+            requests, builds = _count_done_casts(patch)
+            cssp(build(), sources, metrics=Metrics())
+        distinct = {construction_memo.construction_key(g) for g in requests}
+        assert len(builds) == len(distinct) < len(requests)
+        with monkeypatch.context() as patch:
+            fresh_requests, fresh_builds = _count_done_casts(patch)
+            _always_miss(patch)
+            cssp(build(), sources, metrics=Metrics())
+        assert len(fresh_builds) == len(fresh_requests) == len(requests)
+
+    def test_apsp_sources_share_done_casts(self, monkeypatch):
+        requests, builds = _count_done_casts(monkeypatch)
+        apsp(graphs.make_family("er", 12, max_weight=5, seed=4), seed=1)
+        assert 0 < len(builds) < len(requests)

@@ -44,6 +44,31 @@ class TestDesignModuleReferences:
                 assert hasattr(mod, attr), f"DESIGN.md references missing {match}"
 
 
+def _pointer_sources() -> list:
+    """The files whose prose points into DESIGN.md by section title."""
+    return [*sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md", ROOT / "EXPERIMENTS.md"]
+
+
+class TestDesignSectionPointers:
+    def test_quoted_sections_exist(self):
+        """``DESIGN.md, "Title"`` names a heading, ``(decision)`` aside."""
+        headings = {
+            line[3:].removesuffix(" (decision)")
+            for line in (ROOT / "DESIGN.md").read_text().splitlines()
+            if line.startswith("## ")
+        }
+        pointers = 0
+        for path in _pointer_sources():
+            text = " ".join(path.read_text().split())
+            for title in re.findall(r'DESIGN\.md,? "([^"]+)"', text):
+                pointers += 1
+                assert title in headings, f"{path.name} points at DESIGN.md {title!r}"
+            assert not re.search(r"DESIGN\.md,? decision \d", text), (
+                f"{path.name} points at a numbered decision; DESIGN.md has none"
+            )
+        assert pointers > 5
+
+
 class TestPublicAPIHasDocstrings:
     @pytest.mark.parametrize(
         "module_name",

@@ -2,10 +2,11 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from repro.sim import Metrics
+from repro.sim import Metrics, TracingMetrics
 
 
 def random_metrics(rng: random.Random, nodes: int = 12) -> Metrics:
@@ -124,3 +125,50 @@ class TestCopy:
         assert copied.awake_by_round == t.awake_by_round
         assert copied.send_trace.counts() == t.send_trace.counts()
         assert sum(copied.messages_by_round.values()) == t.total_messages > 0
+
+
+def filled(make, nodes, seed: int) -> Metrics:
+    """``make()`` with sends, wakes and participations among ``nodes``."""
+    rng = random.Random(seed)
+    m = make()
+    for _ in range(200):
+        m.record_send(rng.choice(nodes), rng.choice(nodes), delivered=True)
+        m.record_awake(rng.choice(nodes), rounds=rng.randrange(1, 4))
+        m.record_participation(rng.choice(nodes))
+    return m
+
+
+def counter_items(metrics: Metrics) -> list:
+    """Each counter's items in insertion order (dict equality ignores order)."""
+    return [
+        list(metrics.edge_messages.items()),
+        list(metrics.awake_rounds.items()),
+        list(metrics.subproblem_participation.items()),
+    ]
+
+
+# case -> target maker; every case merges the same ``other`` (nodes 0..39).
+MERGE_TARGETS = {
+    "empty-target": Metrics,
+    "disjoint": lambda: filled(Metrics, range(40, 80), 2),
+    "overlapping": lambda: filled(Metrics, range(20, 60), 2),
+    "tracing": lambda: filled(TracingMetrics, range(20, 60), 2),
+}
+
+
+class TestMergeMatchesCounterUpdate:
+    """``Metrics.merge`` adds counters in a C-level loop; it must leave the
+    same counts, in the same key order, as ``Counter.update``."""
+
+    @pytest.mark.parametrize("case", sorted(MERGE_TARGETS))
+    def test_same_counts_and_key_order(self, case):
+        other = filled(Metrics, range(40), 1)
+        merged, reference = MERGE_TARGETS[case](), MERGE_TARGETS[case]()
+        shared = set(merged.awake_rounds) & set(other.awake_rounds)
+        assert bool(shared) == (case in ("overlapping", "tracing"))
+        merged.merge(other)
+        reference.edge_messages.update(other.edge_messages)
+        reference.awake_rounds.update(other.awake_rounds)
+        reference.subproblem_participation.update(other.subproblem_participation)
+        assert counter_items(merged) == counter_items(reference)
+        assert type(merged.edge_messages) is Counter

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from array import array
 from collections import Counter
 
@@ -13,6 +14,7 @@ from repro.core.apsp import apsp, schedule_with_random_delays
 from repro.core.sssp import sssp, sssp_distances
 from repro.graphs import INFINITY
 from repro.sim import SendTrace
+from repro.sim.kernels import numpy_or_none, use_backend
 
 
 class TestSSSP:
@@ -206,3 +208,78 @@ class TestScheduler:
         assert report.makespan == max(report.delays[i] + durations[i] for i in traces)
         rng_delays = random.Random(seed)
         assert report.delays == {i: rng_delays.randrange(window) for i in traces}
+
+
+def _superposition_cases() -> dict:
+    """name -> (traces, durations, window) for the two-path parity test."""
+    xy = (("x", "y"), ("y", "x"))
+    yx = (("y", "x"), ("x", "y"))
+    one = SendTrace()
+    one.add(3, xy, array("q", [0, 0, 1]), array("q", [2, 2, 5]))
+    first, second = SendTrace(), SendTrace()
+    first.add(0, xy, array("q", [0, 1]), array("q", [9, 0]))
+    second.add(0, yx, array("q", [1]), array("q", [9]))
+    shared = SendTrace()  # two segments over one table object, replayed
+    shared.add(0, xy, array("q", [0, 1, 0]), array("q", [0, 0, 1]))
+    shared.add(4, xy, array("q", [1, 1]), array("q", [0, 3]))
+    late = SendTrace()
+    late.add(1 << 20, yx, array("q", [0, 1, 1]), array("q", [5, 5, 6]))
+    late.stamp("x", "y", (1 << 20) + 5)
+    huge = SendTrace()  # ids * span overflows int64: the Counter path runs
+    huge.add(1 << 62, xy, array("q", [0, 1, 1]), array("q", [0, 0, 0]))
+    return {
+        "empty": ({}, {}, 5),
+        "empty-traces": ({0: SendTrace(), 1: SendTrace()}, {0: 3, 1: 0}, 4),
+        "one-segment": ({0: one}, {0: 9}, 1),
+        "shared-tables": ({i: shared for i in range(6)}, {i: 8 for i in range(6)}, 3),
+        "port-vs-label": ({0: first, 1: second}, {0: 10, 1: 10}, 1),
+        "past-2**20": ({0: late, 1: late, 2: one}, {0: 1, 1: 2, 2: 3}, 2),
+        "int64-fallback": ({0: huge, 1: one}, {0: 1, 1: 1}, 1),
+    }
+
+
+class TestSuperpositionBackends:
+    """The numpy path (int64 slot keys, sorted) and the ``Counter`` path
+    give the same report; a span past int64 falls back to the Counter."""
+
+    @staticmethod
+    def reports(monkeypatch, traces, durations, window, seed=0, capacity=2) -> tuple:
+        """The reports under ``numpy`` and ``scalar``, and the numpy calls."""
+        apsp_module = sys.modules["repro.core.apsp"]
+        calls = []
+        real = apsp_module._max_load_numpy
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(apsp_module, "_max_load_numpy", spy)
+        out = []
+        for backend in ("numpy", "scalar"):
+            with use_backend(backend):
+                out.append(schedule_with_random_delays(
+                    traces, durations, window=window, capacity=capacity, seed=seed
+                ))
+        return out[0], out[1], len(calls)
+
+    @pytest.mark.parametrize("name", sorted(_superposition_cases()))
+    def test_numpy_and_counter_paths_agree(self, name, monkeypatch):
+        traces, durations, window = _superposition_cases()[name]
+        vector, scalar, numpy_calls = self.reports(monkeypatch, traces, durations, window)
+        assert vector == scalar
+        assert type(vector.max_slot_load) is int
+        load = naive_superposition(traces, scalar.delays)
+        assert scalar.max_slot_load == max(load.values(), default=0)
+        expected_calls = 0 if numpy_or_none() is None or name == "int64-fallback" else 1
+        assert numpy_calls == expected_calls
+
+    def test_a_real_apsp_run(self, monkeypatch):
+        result = apsp(graphs.make_family("er", 10, max_weight=5, seed=3), seed=2)
+        traces = {s: r.metrics.send_trace for s, r in result.per_source.items()}
+        durations = {s: r.rounds for s, r in result.per_source.items()}
+        window = max(durations.values())
+        vector, scalar, _calls = self.reports(
+            monkeypatch, traces, durations, window, seed=2, capacity=result.schedule.capacity
+        )
+        assert vector == scalar == result.schedule
+        assert scalar.max_slot_load == max(naive_superposition(traces, scalar.delays).values())
