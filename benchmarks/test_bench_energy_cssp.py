@@ -8,7 +8,6 @@ small n sweep — the full recursive stack is simulation-heavy.
 from _bench import record_table, run_once
 from repro import graphs
 from repro.energy import energy_cssp
-from repro.sim import Metrics
 
 SIZES = [8, 12, 16, 20]
 

@@ -6,7 +6,6 @@ Fixes n and sweeps density; the paper claims ~O(m) messages for SSSP
 
 from _bench import record_table, run_once
 from repro import graphs, cssp, run_bellman_ford
-from repro.analysis import linear_regression
 from repro.sim import Metrics
 
 N = 40

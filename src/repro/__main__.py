@@ -93,12 +93,28 @@ def _load_spec_file(path: str, expected_cls, parser: argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
+def _param_schema(spec) -> list[list[str]]:
+    """A driver's parameters as ``[name, type name]`` pairs."""
+    return [[name, type(default).__name__] for name, default in spec.params().items()]
+
+
+def _algorithm_entry(spec) -> dict:
+    """One registered algorithm as a JSON-ready dict."""
+    return {
+        "name": spec.name,
+        "model": spec.model,
+        "oracle": spec.oracle,
+        "param_schema": _param_schema(spec),
+        "description": spec.description,
+        "fault_tolerance": list(spec.fault_tolerance),
+    }
+
+
 def _scenario_catalog() -> list[dict]:
     """The registered scenario catalog, one JSON-ready dict per scenario."""
     from repro.api import get_algorithm_spec
-    from repro.sim.experiments import ensure_discovered, get_scenario, list_scenarios
+    from repro.sim.experiments import get_scenario, list_scenarios
 
-    ensure_discovered()
     catalog = []
     for name in list_scenarios():
         scenario = get_scenario(name)
@@ -114,7 +130,7 @@ def _scenario_catalog() -> list[dict]:
             "fault_model": scenario.fault_model,
             "fault_tolerance": list(spec.fault_tolerance),
             "params": dict(scenario.params),
-            "param_schema": [list(pair) for pair in spec.param_schema],
+            "param_schema": _param_schema(spec),
             "description": scenario.description or spec.description,
         })
     return catalog
@@ -151,7 +167,7 @@ def _cmd_info(args) -> int:
             "version": repro.__version__,
             "backend": backend,
             "systems": dict(systems),
-            "algorithms": [spec.to_dict() for spec in list_algorithm_specs()],
+            "algorithms": [_algorithm_entry(spec) for spec in list_algorithm_specs()],
             "scenarios": scenarios,
         }, indent=2))
         return 0
@@ -206,10 +222,9 @@ def _cmd_sweep(args, parser) -> int:
         run_sweep_spec,
         smoke_spec,
     )
-    from repro.sim.experiments import SweepError, ensure_discovered
+    from repro.sim.experiments import SweepError
 
     if args.list:
-        ensure_discovered()
         if args.json:
             print(json.dumps(_scenario_catalog(), indent=2))
             return 0

@@ -8,10 +8,10 @@ three ideas:
   is a typed, validated, JSON-(de)serializable description of a job.  A
   sweep is a reviewable artifact you can commit, diff, and re-run — not a
   flag soup;
-* an **algorithm** is registered declaratively through
-  :class:`AlgorithmSpec` (name, entry point, model, oracle, param schema),
-  and third-party scenarios plug in through entry-point-style discovery
-  (:func:`repro.api.algorithms.discover`) without editing the registry;
+* an **algorithm** is one :class:`AlgorithmSpec` (name, driver callable,
+  model, oracle, fault tolerance) registered in process with
+  :func:`register_algorithm_spec`; the driver's signature is its
+  parameter schema;
 * a **ResultSet** is a durable, streaming JSONL store of tidy sweep rows
   (including serialized :class:`~repro.sim.Metrics`).  Re-running a
   :class:`SweepSpec` against an existing store *resumes*: completed
@@ -42,7 +42,6 @@ The layering is strict: this package sits *above* the engine
 
 from .algorithms import (
     AlgorithmSpec,
-    discover,
     get_algorithm_spec,
     list_algorithm_specs,
     register_algorithm_spec,
@@ -63,7 +62,6 @@ __all__ = [
     "SpecError",
     "SweepSpec",
     "cell_key",
-    "discover",
     "failure_record",
     "find_shard_stores",
     "get_algorithm_spec",

@@ -1,10 +1,12 @@
-"""Built-in algorithm drivers, registered declaratively.
+"""Built-in algorithm drivers and their registrations.
 
-Each driver adapts one library entry point to the uniform sweep shape
+Each driver adapts one library function to the uniform sweep shape
 ``driver(graph, seed, metrics, **params)`` and *self-verifies* against the
-sequential oracle named in its :class:`~repro.api.AlgorithmSpec`.  The specs
-below are the library's own registrations through the same declarative path
-third-party plugins use — nothing here is special-cased.
+sequential oracle named in its :class:`~repro.api.AlgorithmSpec`.  A
+driver's keyword parameters, with their defaults, are its parameter
+schema.  The specs below register through the same
+:func:`~repro.api.register_algorithm_spec` call any other in-process
+algorithm uses — nothing here is special-cased.
 
 Seeding: every driver with a source (or root) derives it deterministically
 from ``seed`` via :func:`_source_node` — ``random.Random(seed)`` over the
@@ -527,95 +529,48 @@ def drive_energy_cssp(graph, seed: int, metrics, base: int = 4, stretch: int = 3
     return {"energy_avg": _energy_avg(graph, metrics)}
 
 
-_HERE = __name__  # "repro.api.drivers"
+#: Oracle display text shared by several drivers.
+_DIJKSTRA = "repro.graphs:Graph.dijkstra"
+_HOPS = "repro.graphs:Graph.hop_distances"
 
 BUILTIN_ALGORITHMS = (
-    AlgorithmSpec(
-        "sssp", f"{_HERE}:drive_sssp", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        description="paper SSSP (Thm 2.6 pipeline)",
-    ),
-    AlgorithmSpec(
-        "cssp", f"{_HERE}:drive_cssp", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        description="thresholded recursive CSSP (Thms 2.6/2.7)",
-    ),
-    AlgorithmSpec(
-        "bellman-ford", f"{_HERE}:drive_bellman_ford", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        description="distributed Bellman-Ford baseline",
-        fault_tolerance=("drop", "dup", "crash"),
-    ),
-    AlgorithmSpec(
-        "dijkstra", f"{_HERE}:drive_dijkstra", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        description="naive distributed Dijkstra baseline",
-    ),
-    AlgorithmSpec(
-        "bfs", f"{_HERE}:drive_bfs", model="congest",
-        oracle="repro.graphs:Graph.hop_distances",
-        description="unweighted CONGEST BFS",
-        fault_tolerance=("dup", "crash"),
-    ),
-    AlgorithmSpec(
-        "boruvka", f"{_HERE}:drive_boruvka", model="congest",
-        oracle="repro.graphs:Graph.mst_weight",
-        description="distributed Boruvka spanning forest (Thm 2.2)",
-    ),
-    AlgorithmSpec(
-        "apsp", f"{_HERE}:drive_apsp", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        param_schema=(("capacity_log_factor", "int"),),
-        description="random-delay concurrent APSP (Sec 1.1)",
-    ),
-    AlgorithmSpec(
-        "labeled-bfs", f"{_HERE}:drive_labeled_bfs", model="congest",
-        oracle="repro.graphs:Graph.dijkstra",
-        param_schema=(("num_sources", "int"),),
-        description="nearest-labeled-source BFS (Thm 3.10/3.11 primitive)",
-    ),
-    AlgorithmSpec(
-        "decomposition", f"{_HERE}:drive_decomposition", model="congest",
-        oracle="repro.energy:validate_decomposition",
-        param_schema=(("separation", "int"),),
-        description="k-separated network decomposition (Thm 3.10)",
-    ),
-    AlgorithmSpec(
-        "sparse-cover", f"{_HERE}:drive_sparse_cover", model="congest",
-        oracle="repro.energy:validate_sparse_cover",
-        param_schema=(("d", "int"),),
-        description="sparse d-cover from a decomposition (Thm 3.11)",
-    ),
-    AlgorithmSpec(
-        "layered-cover", f"{_HERE}:drive_layered_cover", model="congest",
-        oracle="repro.energy:validate_layered_cover",
-        param_schema=(("base", "int"),),
-        description="layered sparse cover stack (Def 3.4 / Obs 3.3)",
-    ),
-    AlgorithmSpec(
-        "tree-aggregation", f"{_HERE}:drive_tree_aggregation", model="sleeping",
-        oracle="repro.graphs:Graph.connected_components",
-        param_schema=(("cycles", "int"),),
-        description="periodic tree convergecast/broadcast (Sec 3.1.1)",
-    ),
-    AlgorithmSpec(
-        "energy-bfs", f"{_HERE}:drive_energy_bfs", model="sleeping",
-        oracle="repro.graphs:Graph.hop_distances",
-        param_schema=(("base", "int"), ("stretch", "int")),
-        description="sleeping-model BFS over a layered cover (Thm 3.8)",
-    ),
-    AlgorithmSpec(
-        "energy-bfs-scratch", f"{_HERE}:drive_energy_bfs_scratch", model="sleeping",
-        oracle="repro.graphs:Graph.hop_distances",
-        param_schema=(("base", "int"), ("stretch", "int")),
-        description="from-scratch low-energy BFS bootstrap (Thms 3.13/3.14)",
-    ),
-    AlgorithmSpec(
-        "energy-cssp", f"{_HERE}:drive_energy_cssp", model="sleeping",
-        oracle="repro.graphs:Graph.dijkstra",
-        param_schema=(("base", "int"), ("stretch", "int")),
-        description="energy-model weighted CSSP (Thm 3.15)",
-    ),
+    AlgorithmSpec("sssp", drive_sssp, oracle=_DIJKSTRA,
+                  description="paper SSSP (Thm 2.6 pipeline)"),
+    AlgorithmSpec("cssp", drive_cssp, oracle=_DIJKSTRA,
+                  description="thresholded recursive CSSP (Thms 2.6/2.7)"),
+    AlgorithmSpec("bellman-ford", drive_bellman_ford, oracle=_DIJKSTRA,
+                  description="distributed Bellman-Ford baseline",
+                  fault_tolerance=("drop", "dup", "crash")),
+    AlgorithmSpec("dijkstra", drive_dijkstra, oracle=_DIJKSTRA,
+                  description="naive distributed Dijkstra baseline"),
+    AlgorithmSpec("bfs", drive_bfs, oracle=_HOPS,
+                  description="unweighted CONGEST BFS",
+                  fault_tolerance=("dup", "crash")),
+    AlgorithmSpec("boruvka", drive_boruvka, oracle="repro.graphs:Graph.mst_weight",
+                  description="distributed Boruvka spanning forest (Thm 2.2)"),
+    AlgorithmSpec("apsp", drive_apsp, oracle=_DIJKSTRA,
+                  description="random-delay concurrent APSP (Sec 1.1)"),
+    AlgorithmSpec("labeled-bfs", drive_labeled_bfs, oracle=_DIJKSTRA,
+                  description="nearest-labeled-source BFS (Thm 3.10/3.11 primitive)"),
+    AlgorithmSpec("decomposition", drive_decomposition,
+                  oracle="repro.energy:validate_decomposition",
+                  description="k-separated network decomposition (Thm 3.10)"),
+    AlgorithmSpec("sparse-cover", drive_sparse_cover,
+                  oracle="repro.energy:validate_sparse_cover",
+                  description="sparse d-cover from a decomposition (Thm 3.11)"),
+    AlgorithmSpec("layered-cover", drive_layered_cover,
+                  oracle="repro.energy:validate_layered_cover",
+                  description="layered sparse cover stack (Def 3.4 / Obs 3.3)"),
+    AlgorithmSpec("tree-aggregation", drive_tree_aggregation, model="sleeping",
+                  oracle="repro.graphs:Graph.connected_components",
+                  description="periodic tree convergecast/broadcast (Sec 3.1.1)"),
+    AlgorithmSpec("energy-bfs", drive_energy_bfs, model="sleeping", oracle=_HOPS,
+                  description="sleeping-model BFS over a layered cover (Thm 3.8)"),
+    AlgorithmSpec("energy-bfs-scratch", drive_energy_bfs_scratch, model="sleeping",
+                  oracle=_HOPS,
+                  description="from-scratch low-energy BFS bootstrap (Thms 3.13/3.14)"),
+    AlgorithmSpec("energy-cssp", drive_energy_cssp, model="sleeping", oracle=_DIJKSTRA,
+                  description="energy-model weighted CSSP (Thm 3.15)"),
 )
 
 for _spec in BUILTIN_ALGORITHMS:

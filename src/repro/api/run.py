@@ -344,12 +344,6 @@ def run_sweep_spec(
     from ..sim import experiments
 
     spec = spec.validate()
-    if spec.scenarios is None:
-        # "All registered" must include plugin scenarios, so force the
-        # discovery scan; explicitly named scenarios defer it — an unknown
-        # name triggers discovery lazily inside get_scenario, keeping the
-        # common path free of the importlib.metadata scan.
-        experiments.ensure_discovered()
     names = (
         list(spec.scenarios) if spec.scenarios is not None
         else experiments.list_scenarios()

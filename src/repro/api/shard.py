@@ -114,7 +114,7 @@ def merge_shards(
 ) -> ResultSet:
     """Recombine shard stores into the canonical store at ``output``.
 
-    ``shards=None`` discovers ``<output>.shard-*-of-*.jsonl`` siblings via
+    ``shards=None`` finds ``<output>.shard-*-of-*.jsonl`` siblings via
     :func:`find_shard_stores`.  Records append through the normal store
     machinery, so duplicates collapse on their resume keys, a successful
     record beats any shard's ``failed`` record for the same cell, and

@@ -22,8 +22,6 @@ Section 3.7.  The rounding arithmetic of Lemma 2.1 is unchanged.
 
 from __future__ import annotations
 
-import math
-
 from ..graphs import Graph, INFINITY
 from ..sim import Metrics
 from ..core.cssp import DEFAULT_EPS, distance_upper_bound, _thresholded_recursive

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ..graphs import Graph, INFINITY
 from ..sim import Metrics
 from ..sim.memo import memoized
-from .decomposition import Cluster, build_decomposition
+from .decomposition import build_decomposition
 from .labeled_bfs import run_labeled_bfs
 
 __all__ = ["CoverCluster", "SparseCover", "LayeredCover", "build_sparse_cover", "build_layered_cover"]

@@ -13,7 +13,7 @@ are *auditors*, not distributed algorithms.
 
 from __future__ import annotations
 
-from ..graphs import Graph, INFINITY
+from ..graphs import Graph
 from .covers import LayeredCover, SparseCover
 from .decomposition import Decomposition
 

@@ -27,19 +27,30 @@ def dumps(graph: Graph) -> str:
 
 
 def loads(text: str) -> Graph:
-    """Parse the edge-list text format (integer node ids only)."""
+    """Parse the edge-list text format (integer node ids only).
+
+    A malformed line raises ``ValueError`` naming its 1-based number and
+    quoting its text: a wrong field count, a non-integer token, a
+    self-loop or a negative weight.
+    """
     graph = Graph()
-    for raw in text.splitlines():
+    for k, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "node":
-                graph.add_node(int(parts[1]))
-            continue
-        u_str, v_str, w_str = line.split()
-        graph.add_edge(int(u_str), int(v_str), int(w_str))
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "node":
+                    graph.add_node(int(parts[1]))
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields 'u v w', got {len(fields)}")
+            u, v, w = map(int, fields)
+            graph.add_edge(u, v, w)
+        except ValueError as exc:
+            raise ValueError(f"line {k}: {line!r}: {exc}") from None
     return graph
 
 

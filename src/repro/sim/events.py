@@ -59,7 +59,6 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..graphs import Graph
 from ..graphs.indexed import IndexedGraph
 from .faults import FaultModel, parse_fault_model
 from .metrics import Metrics

@@ -10,11 +10,11 @@ data:
   graphs".  Scenarios live in a registry (:func:`register_scenario`,
   :func:`get_scenario`, :func:`list_scenarios`) so new workloads are one
   registration, not a new benchmark harness;
-* an **algorithm** is registered declaratively through
-  :class:`repro.api.AlgorithmSpec` (name, entry point, model, oracle, param
-  schema) — the built-ins live in :mod:`repro.api.drivers`, and third-party
-  scenarios plug in via entry-point discovery
-  (:func:`repro.api.algorithms.discover`) without editing this module;
+* an **algorithm** is one :class:`repro.api.AlgorithmSpec` (name, driver
+  callable, model, oracle, fault tolerance) whose driver signature is its
+  parameter schema — the built-ins live in :mod:`repro.api.drivers`, and
+  any other module registers its own with
+  :func:`repro.api.register_algorithm_spec` before the sweep starts;
 * :func:`run_scenario` executes one *(scenario, size, seed)* cell — with a
   per-process graph-instance cache — and returns its tidy row.
 
@@ -55,12 +55,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..api.algorithms import (
-    check_params,
-    discover,
-    get_algorithm_spec,
-    list_algorithm_specs,
-)
+from ..api.algorithms import check_params, get_algorithm_spec, list_algorithm_specs
 from ..api.drivers import BUILTIN_ALGORITHMS, DriverError  # noqa: F401 (registers built-ins)
 from ..graphs import generators
 from .events import canonical_latency, choose_engine, simulation_engine
@@ -166,9 +161,9 @@ def register_scenario(scenario: Scenario) -> Scenario:
     """Add ``scenario`` to the registry (replacing any same-named entry).
 
     Rejects unknown families and algorithms, and validates the scenario's
-    ``params`` against the algorithm's declared ``param_schema`` — a
-    drifted parameter name or type fails here, at registration, not inside
-    a forked sweep worker.
+    ``params`` against the algorithm driver's signature — a drifted
+    parameter name or type fails here, at registration, not inside a
+    forked sweep worker.
     """
     if scenario.family not in generators.FAMILIES:
         raise SweepError(
@@ -265,13 +260,13 @@ def scenario_digest(
 
 
 def ensure_discovered() -> None:
-    """Load third-party scenario plugins (idempotent; see :func:`repro.api.discover`)."""
-    discover()
+    """Do nothing: the registry is in process, so there is nothing to load.
+
+    Kept because ``perfbench/run.py``'s set-up probe calls it.
+    """
 
 
 def get_scenario(name: str) -> Scenario:
-    if name not in _SCENARIOS:
-        ensure_discovered()  # a plugin may register it on first load
     try:
         return _SCENARIOS[name]
     except KeyError:

@@ -20,7 +20,7 @@ from collections import Counter
 
 from ..graphs import Graph
 from .metrics import Metrics
-from .runner import _IDLE, Inbox, Mode, NodeAlgorithm, SimulationError
+from .runner import _IDLE, Inbox, Mode, SimulationError
 
 __all__ = ["ReferenceRunner"]
 

@@ -1,6 +1,8 @@
 """The spec layer: JSON round-trips, validation, and algorithm descriptors."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -10,13 +12,13 @@ from repro.api import (
     SpecError,
     SweepSpec,
     get_algorithm_spec,
-    list_algorithm_specs,
     load_spec,
     register_algorithm_spec,
     smoke_spec,
 )
-from repro.api.algorithms import discover, resolve_entry_point
+from repro.api.drivers import drive_bfs
 from repro.sim.experiments import list_algorithms, run_scenario
+from repro.testing import subprocess_env
 
 
 class TestSweepSpecRoundTrip:
@@ -158,28 +160,13 @@ class TestAlgorithmSpecs:
         spec = get_algorithm_spec("energy-bfs")
         assert spec.model == "sleeping"
         assert spec.oracle == "repro.graphs:Graph.hop_distances"
-        assert dict(spec.param_schema) == {"base": "int", "stretch": "int"}
-
-    def test_entry_points_resolve_to_callables(self):
-        for spec in list_algorithm_specs():
-            assert callable(spec.resolve()), spec.name
-
-    def test_spec_dict_round_trip(self):
-        spec = get_algorithm_spec("sssp")
-        assert AlgorithmSpec.from_dict(spec.to_dict()) == spec
-
-    def test_resolve_entry_point_syntax(self):
-        assert resolve_entry_point("repro.api.drivers:drive_bfs").__name__ == "drive_bfs"
-        with pytest.raises(ValueError, match="entry point"):
-            resolve_entry_point("repro.api.drivers.drive_bfs")
+        assert spec.params() == {"base": 4, "stretch": 3}
 
     def test_registered_spec_drives_a_scenario(self):
         from repro.api import algorithms
         from repro.sim import experiments
 
-        register_algorithm_spec(
-            AlgorithmSpec("test-only-bfs", "repro.api.drivers:drive_bfs")
-        )
+        register_algorithm_spec(AlgorithmSpec("test-only-bfs", drive_bfs))
         experiments.register_scenario(
             experiments.Scenario("test-only/bfs-path", "path", "test-only-bfs")
         )
@@ -192,31 +179,27 @@ class TestAlgorithmSpecs:
             algorithms._SPECS.pop("test-only-bfs", None)
 
 
-class TestPluginDiscovery:
-    def test_env_var_plugin_registers_scenarios(self, tmp_path, monkeypatch):
-        plugin = tmp_path / "repro_test_plugin.py"
-        plugin.write_text(
-            "from repro.sim.experiments import Scenario, register_scenario\n"
-            "from repro.api import AlgorithmSpec, register_algorithm_spec\n"
-            "register_algorithm_spec(AlgorithmSpec('plugin-bfs', 'repro.api.drivers:drive_bfs'))\n"
-            "register_scenario(Scenario('plugin/bfs-path', 'path', 'plugin-bfs'))\n"
+#: Imports repro, lists the catalog through the CLI, resolves one scenario,
+#: and reports whether any plugin-scanning machinery was loaded.
+STARTUP_PROBE = """\
+import sys
+import repro
+from repro.__main__ import main
+from repro.sim import experiments
+assert main(["sweep", "--list"]) == 0
+experiments.get_scenario("apsp/er")
+print("importlib.metadata" in sys.modules)
+"""
+
+
+class TestStartup:
+    def test_startup_ignores_the_environment(self):
+        result = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            env={**subprocess_env(), "REPRO_PLUGINS": "no_such_module"},
+            capture_output=True, text=True, timeout=120,
         )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("REPRO_PLUGINS", "repro_test_plugin")
-        from repro.api import algorithms
-        from repro.sim import experiments
-
-        try:
-            loaded = discover(force=True)
-            assert "repro_test_plugin" in loaded
-            assert "plugin/bfs-path" in experiments.list_scenarios()
-            row = run_scenario("plugin/bfs-path", 8, seed=1)
-            assert row["algorithm"] == "plugin-bfs"
-        finally:
-            experiments._SCENARIOS.pop("plugin/bfs-path", None)
-            algorithms._SPECS.pop("plugin-bfs", None)
-
-    def test_discover_runs_once_unless_forced(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLUGINS", raising=False)
-        discover(force=True)
-        assert discover() == []  # second call is a no-op
+        assert result.returncode == 0, result.stderr[-2000:]
+        lines = result.stdout.splitlines()
+        assert any(line.startswith("apsp/er ") for line in lines)
+        assert lines[-1] == "False"

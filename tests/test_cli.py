@@ -28,6 +28,16 @@ class TestCLI:
         assert data["version"] == repro.__version__
         assert "repro.api" in data["systems"]
 
+    def test_info_json_derives_param_schemas_from_the_drivers(self, capsys):
+        assert main(["info", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        algorithms = {entry["name"]: entry for entry in data["algorithms"]}
+        assert algorithms["energy-bfs"]["param_schema"] == [["base", "int"], ["stretch", "int"]]
+        assert algorithms["sssp"]["param_schema"] == []
+        assert all("entry_point" not in entry for entry in data["algorithms"])
+        scenarios = {entry["name"]: entry for entry in data["scenarios"]}
+        assert scenarios["labeled-bfs/grid"]["param_schema"] == [["num_sources", "int"]]
+
     def test_demo_small(self, capsys):
         assert main(["demo", "12"]) == 0
         out = capsys.readouterr().out

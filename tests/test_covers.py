@@ -4,7 +4,6 @@ import pytest
 
 from repro import graphs
 from repro.energy.covers import build_layered_cover, build_sparse_cover
-from repro.graphs import Graph
 
 
 def ball(g, v, d):

@@ -2,9 +2,9 @@
 
 This file covers the catalog-growth contract:
 
-* every registered :class:`~repro.api.AlgorithmSpec` resolves, validates
-  its param schema against the driver signature, and round-trips through
-  its dict form (and scenario names round-trip through ``SweepSpec`` JSON);
+* every registered :class:`~repro.api.AlgorithmSpec` resolves to its
+  driver, whose signature yields the pinned parameter schema (and scenario
+  names round-trip through ``SweepSpec`` JSON);
 * every newly registered driver runs — self-verifying against its
   sequential oracle/validator — across at least three graph families
   (tree, grid, random-connected);
@@ -45,6 +45,7 @@ from repro.api import (
     list_algorithm_specs,
     run_sweep_spec,
 )
+from repro.api.drivers import drive_bfs
 from repro.graphs import Graph, generators
 from repro.sim import Metrics, experiments, simulation_engine
 from repro.sim.events import canonical_latency, choose_engine
@@ -94,20 +95,42 @@ def temp_scenario():
         experiments._SCENARIOS.pop(name, None)
 
 
+#: Every built-in driver's parameter schema, name -> type name.
+PARAM_SCHEMAS = {
+    "apsp": {"capacity_log_factor": "int"},
+    "bellman-ford": {},
+    "bfs": {},
+    "boruvka": {},
+    "cssp": {},
+    "decomposition": {"separation": "int"},
+    "dijkstra": {},
+    "energy-bfs": {"base": "int", "stretch": "int"},
+    "energy-bfs-scratch": {"base": "int", "stretch": "int"},
+    "energy-cssp": {"base": "int", "stretch": "int"},
+    "labeled-bfs": {"num_sources": "int"},
+    "layered-cover": {"base": "int"},
+    "sparse-cover": {"d": "int"},
+    "sssp": {},
+    "tree-aggregation": {"cycles": "int"},
+}
+
+
 class TestRegistryIntegrity:
     def test_catalog_has_at_least_twelve_algorithms(self):
-        assert len(list_algorithm_specs()) >= 12
+        assert len(list_algorithm_specs()) >= 15
 
-    def test_every_spec_resolves_and_validates(self):
+    def test_every_spec_resolves_to_its_driver(self):
         for spec in list_algorithm_specs():
-            assert callable(spec.resolve()), spec.name
-            assert spec.validate() is spec
+            assert spec.resolve() is spec.driver, spec.name
+            assert callable(spec.driver), spec.name
 
-    def test_every_spec_round_trips_through_dict(self):
-        for spec in list_algorithm_specs():
-            clone = AlgorithmSpec.from_dict(spec.to_dict())
-            assert clone == spec
-            assert clone.param_schema == spec.param_schema
+    def test_derived_param_schemas_match_the_declared_table(self):
+        derived = {
+            spec.name: {name: type(default).__name__
+                        for name, default in spec.params().items()}
+            for spec in list_algorithm_specs()
+        }
+        assert derived == PARAM_SCHEMAS
 
     def test_every_scenario_round_trips_through_sweep_spec_json(self):
         names = tuple(experiments.list_scenarios())
@@ -119,34 +142,26 @@ class TestRegistryIntegrity:
             scenario = experiments.get_scenario(name)  # resolves, no raise
             get_algorithm_spec(scenario.algorithm)
 
-    def test_param_schema_rejects_unknown_type(self):
-        spec = AlgorithmSpec(
-            "bad-type", "repro.api.drivers:drive_bfs",
-            param_schema=(("x", "complex"),),
-        )
-        with pytest.raises(ValueError, match="unknown.*type"):
-            spec.validate()
-
-    def test_param_schema_rejects_param_the_driver_lacks(self):
-        spec = AlgorithmSpec(
-            "bad-param", "repro.api.drivers:drive_bfs",
-            param_schema=(("no_such_param", "int"),),
-        )
-        with pytest.raises(ValueError, match="does not accept"):
-            spec.validate()
-
     def test_register_algorithm_spec_rejects_bad_schema_shape(self):
         from repro.api import register_algorithm_spec
 
-        with pytest.raises(ValueError, match="unknown.*type"):
-            register_algorithm_spec(
-                AlgorithmSpec("bad-shape", "repro.api.drivers:drive_bfs",
-                              param_schema=(("x", "integer"),))
-            )
+        def no_default(graph, seed, metrics, x):
+            return None
+
+        with pytest.raises(ValueError, match="'x' needs a default"):
+            register_algorithm_spec(AlgorithmSpec("bad-shape", no_default))
         with pytest.raises(ValueError, match="model"):
             register_algorithm_spec(
-                AlgorithmSpec("bad-model", "repro.api.drivers:drive_bfs",
-                              model="quantum")
+                AlgorithmSpec("bad-model", drive_bfs, model="quantum")
+            )
+        assert "bad-shape" not in {spec.name for spec in list_algorithm_specs()}
+
+    def test_register_algorithm_spec_rejects_unknown_fault_kind(self):
+        from repro.api import register_algorithm_spec
+
+        with pytest.raises(ValueError, match="unknown fault kind 'lose'"):
+            register_algorithm_spec(
+                AlgorithmSpec("bad-fault", drive_bfs, fault_tolerance=("lose",))
             )
 
     def test_register_scenario_rejects_undeclared_param(self):
@@ -161,6 +176,14 @@ class TestRegistryIntegrity:
             register_scenario(
                 Scenario("bad/mistyped", "tree", "energy-bfs",
                          params=(("base", "four"),))
+            )
+
+    def test_register_scenario_rejects_a_bool_for_an_int_param(self):
+        # bool subclasses int, so isinstance alone would let True through.
+        with pytest.raises(SweepError, match="must be int, got True"):
+            register_scenario(
+                Scenario("bad/bool", "tree", "energy-bfs",
+                         params=(("base", True),))
             )
 
 

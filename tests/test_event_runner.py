@@ -15,7 +15,6 @@ import pytest
 
 from repro import graphs
 from repro.sim import (
-    Context,
     EdgeTableLatency,
     EventRunner,
     Metrics,

@@ -8,8 +8,6 @@ the BFS demonstrably breaks, in exactly the way the paper predicts.
 
 import dataclasses
 
-import pytest
-
 from repro import graphs
 from repro.core.bfs import WeightedBFS
 from repro.energy.covers import build_layered_cover

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.api import (
-    ResultSet,
     SpecError,
     SweepSpec,
     get_algorithm_spec,

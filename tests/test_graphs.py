@@ -384,6 +384,16 @@ class TestIO:
         g2 = read_edge_list(path)
         assert _edge_set(g) == _edge_set(g2)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 3\n1 2\n", r"line 2: '1 2': expected 3 fields"),
+        ("0 1 3\n\na b 1\n", r"line 3: 'a b 1': invalid literal for int"),
+        ("4 4 1\n", r"line 1: '4 4 1': self-loop"),
+        ("# nodes 2\n0 1 -2\n", r"line 2: '0 1 -2': edge weight must be a nonnegative"),
+    ], ids=["field-count", "non-integer", "self-loop", "negative-weight"])
+    def test_loads_names_the_offending_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            loads(text)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))

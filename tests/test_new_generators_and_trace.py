@@ -13,12 +13,11 @@ from repro.energy import (
     ValidationError,
 )
 from repro.graphs import (
-    Graph,
     circulant_graph,
     hypercube_graph,
     random_geometric_graph,
 )
-from repro.sim import Mode, Runner, TracingMetrics
+from repro.sim import TracingMetrics
 from repro.core.bfs import run_bfs
 
 

@@ -58,7 +58,7 @@ def registry():
 
 def register_fault(scenario_name: str, driver) -> Scenario:
     algo = scenario_name.split("/")[0]
-    register_algorithm_spec(AlgorithmSpec(algo, entry_point="", driver=driver))
+    register_algorithm_spec(AlgorithmSpec(algo, driver))
     return register_scenario(Scenario(scenario_name, "path", algo))
 
 

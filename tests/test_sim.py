@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.graphs import Graph, path_graph
-from repro.sim import Context, Metrics, Mode, NodeAlgorithm, Runner, SimulationError
+from repro.graphs import Graph
+from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, SimulationError
 
 
 class Echo(NodeAlgorithm):

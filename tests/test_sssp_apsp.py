@@ -1,6 +1,5 @@
 """SSSP public API and the random-delay APSP scheduler."""
 
-import math
 import random
 import sys
 from array import array

@@ -4,7 +4,6 @@ import pytest
 
 from repro import graphs
 from repro.core.trees import (
-    ConvergecastBroadcast,
     RootedForest,
     bfs_forest,
     run_convergecast_broadcast,
