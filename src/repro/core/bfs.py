@@ -28,102 +28,8 @@ from __future__ import annotations
 
 from ..graphs import Graph, INFINITY
 from ..sim import Context, Metrics, Mode, NodeAlgorithm, make_runner
-from ..sim.kernels import WAKE_HALT, BatchKernel, numpy_or_none
 
 __all__ = ["WeightedBFS", "run_weighted_bfs", "run_bfs"]
-
-
-class _WeightedBFSKernel(BatchKernel):
-    """Batch kernel for :class:`WeightedBFS`: the whole roster as columns.
-
-    Full-state kernel — per-node fields (``_best``, ``dist``, ...) live in
-    parallel lists for the duration of the run and are written back onto
-    the instances in :meth:`finalize`.  Every branch below mirrors one
-    branch of :meth:`WeightedBFS.on_round`; the offer expansion on
-    finalization is the vector hot spot (numpy over the CSR weight column
-    for high-degree nodes, with ``tolist()`` keeping payloads plain ints so
-    downstream comparisons stay byte-identical).
-    """
-
-    def __init__(self, runner, algorithms) -> None:
-        indexed = runner.indexed
-        self._algorithms = algorithms
-        self._indptr = indexed.indptr
-        self._wt = indexed.wt
-        self._np = np = numpy_or_none()
-        csr = indexed.csr() if np is not None else None
-        self._np_wt = csr[2] if csr is not None else None
-        self._best = [a._best for a in algorithms]
-        self._best_from = [a._best_from for a in algorithms]
-        self._finalized = [a._finalized for a in algorithms]
-        self._dist = [a.dist for a in algorithms]
-        self._parent = [a.parent for a in algorithms]
-        self._threshold = [a.threshold for a in algorithms]
-        self._collect = [a.collect_parent for a in algorithms]
-
-    def on_round_batch(
-        self, r, awake, inboxes,
-        out_ports, out_payloads, bcast_src, bcast_payloads,
-    ):
-        best = self._best
-        best_from = self._best_from
-        finalized = self._finalized
-        dist = self._dist
-        threshold = self._threshold
-        indptr = self._indptr
-        wt = self._wt
-        np = self._np
-        np_wt = self._np_wt
-        codes = []
-        append = codes.append
-        for i in awake:
-            if finalized[i]:
-                append(WAKE_HALT)
-                continue
-            box = inboxes[i]
-            b = best[i]
-            if box.senders:
-                for sender, offer in zip(box.senders, box.payloads):
-                    if offer < b:
-                        b = offer
-                        best_from[i] = sender
-                best[i] = b
-            thr = threshold[i]
-            if b <= r and b <= thr:
-                dist[i] = b
-                if self._collect[i]:
-                    self._parent[i] = best_from[i]
-                finalized[i] = True
-                lo = indptr[i]
-                hi = indptr[i + 1]
-                if np_wt is not None and hi - lo >= 16:
-                    offers = np_wt[lo:hi] + b
-                    sel = np.flatnonzero(offers <= thr)
-                    out_ports.extend((sel + lo).tolist())
-                    out_payloads.extend(offers[sel].tolist())
-                else:
-                    for p in range(lo, hi):
-                        offer = b + wt[p]
-                        if offer <= thr:
-                            out_ports.append(p)
-                            out_payloads.append(offer)
-                append(WAKE_HALT)
-            elif b <= thr:
-                append(b)  # wake_at(_best): b > r in this branch
-            elif r <= thr:
-                append(thr + 1)
-            else:
-                dist[i] = INFINITY
-                append(WAKE_HALT)
-        return codes
-
-    def finalize(self) -> None:
-        for i, alg in enumerate(self._algorithms):
-            alg.dist = self._dist[i]
-            alg.parent = self._parent[i]
-            alg._best = self._best[i]
-            alg._best_from = self._best_from[i]
-            alg._finalized = self._finalized[i]
 
 
 class WeightedBFS(NodeAlgorithm):
@@ -145,6 +51,10 @@ class WeightedBFS(NodeAlgorithm):
     After the run, ``self.dist`` holds the finalized distance (or
     ``INFINITY``) and ``self.parent`` the predecessor on a shortest path
     (``None`` for sources/unreached nodes).
+
+    No batch kernel: its set-up on each fresh subgraph outweighed the few
+    steps a node takes a run (measured in DESIGN.md, "Batch kernels:
+    metering parity is the contract").
     """
 
     def __init__(
@@ -209,10 +119,6 @@ class WeightedBFS(NodeAlgorithm):
         # Past the threshold with no offer in range: unreachable within tau.
         self.dist = INFINITY
         ctx.halt()
-
-    @classmethod
-    def batch_kernel(cls, runner) -> _WeightedBFSKernel:
-        return _WeightedBFSKernel(runner, runner._algorithms_by_index)
 
 
 def run_weighted_bfs(

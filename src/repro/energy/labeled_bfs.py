@@ -22,16 +22,14 @@ __all__ = ["LabeledBFS", "run_labeled_bfs"]
 
 
 class _LabeledBFSKernel(BatchKernel):
-    """Batch kernel for :class:`LabeledBFS` — the WeightedBFS kernel's twin.
+    """Batch kernel for :class:`LabeledBFS`: the roster as state columns.
 
-    Full-state kernel over parallel columns, written back in
-    :meth:`finalize`.  The one semantic difference from the WeightedBFS
-    kernel is the finalization test: the labeled variant requires the round
-    ruler to hit the best offer *exactly* (``_best[0] == r``), because it
-    only ever runs in strict CONGEST where the equality holds.  Offer
-    payloads are tuples, so the numpy fast path only vectorizes the
-    offer/threshold selection; tuple construction stays scalar with
-    ``tolist()`` keeping the distances plain ints.
+    Full-state kernel, written back in :meth:`finalize`; every branch
+    mirrors one of :meth:`LabeledBFS.on_round`, including its exact
+    finalization test ``_best[0] == r`` (it runs in strict CONGEST only).
+    Offer payloads are tuples, so numpy only vectorizes the
+    offer/threshold selection of high-degree nodes, with ``tolist()``
+    keeping the distances plain ints.
     """
 
     def __init__(self, runner, algorithms) -> None:

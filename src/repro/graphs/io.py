@@ -16,10 +16,18 @@ __all__ = ["write_edge_list", "read_edge_list", "dumps", "loads"]
 
 
 def dumps(graph: Graph) -> str:
-    """Serialize to the edge-list text format."""
+    """Serialize to the edge-list text format.
+
+    :func:`loads` reads ``int`` node ids only, so the first other label
+    in written order (a ``bool`` included) raises ``ValueError``.
+    """
+    nodes = sorted(graph.nodes(), key=repr)
+    for u in nodes:
+        if not isinstance(u, int) or isinstance(u, bool):
+            raise ValueError(f"node ids must be ints; {u!r} would not read back")
     out = io.StringIO()
     out.write(f"# nodes {graph.num_nodes}\n")
-    for u in sorted(graph.nodes(), key=repr):
+    for u in nodes:
         out.write(f"# node {u}\n")
     for u, v, w in sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
         out.write(f"{u} {v} {w}\n")

@@ -58,7 +58,6 @@ except ImportError:  # pragma: no cover - exercised via force_scalar tests
 
 __all__ = [
     "BatchKernel",
-    "WAKE_NEXT",
     "WAKE_IDLE",
     "WAKE_HALT",
     "numpy_or_none",
@@ -71,9 +70,8 @@ __all__ = [
 ]
 
 #: Wake codes a kernel returns per awake node.  Any value ``>= 0`` is an
-#: absolute wake round (the ``ctx.wake_at`` analog, must exceed the current
-#: round); the negative codes mirror the scalar dispositions.
-WAKE_NEXT = -2  #: stay awake: wake next round (no ctx call made).
+#: absolute wake round (the ``ctx.wake_at`` analog, above the current round
+#: ``r``; ``r + 1`` is the next); the negative codes mirror the scalar ones.
 WAKE_IDLE = -3  #: ``ctx.idle()``: sleep with no schedule (wake-on-message).
 WAKE_HALT = -4  #: ``ctx.halt()``: never step again; output is in state.
 

@@ -106,7 +106,7 @@ from itertools import repeat
 
 from ..graphs import Graph
 from ..graphs.indexed import IndexedGraph
-from .kernels import WAKE_HALT, WAKE_NEXT, kernel_for
+from .kernels import WAKE_HALT, kernel_for
 from .metrics import Metrics
 
 __all__ = ["Mode", "Context", "Inbox", "NodeAlgorithm", "Runner", "SimulationError"]
@@ -712,14 +712,13 @@ class Runner:
                 if codes.count(wake) == len(codes):
                     # One code for the whole round, the common case: the
                     # awake list (this round's own) is booked as one bucket.
-                    if wake == WAKE_NEXT or wake >= 0:
-                        s = nxt_round if wake == WAKE_NEXT else wake
+                    if wake >= 0:
                         for i in awake:
-                            next_wake[i] = s
-                        slot_bucket = buckets.get(s)
+                            next_wake[i] = wake
+                        slot_bucket = buckets.get(wake)
                         if slot_bucket is None:
-                            buckets[s] = awake
-                            heappush(heap, s)
+                            buckets[wake] = awake
+                            heappush(heap, wake)
                         else:
                             slot_bucket.extend(awake)
                     elif wake == WAKE_HALT:
@@ -727,19 +726,15 @@ class Runner:
                             contexts[i]._halted = True
                 else:
                     for i, wake in zip(awake, codes):
-                        if wake == WAKE_NEXT:
-                            s = nxt_round
-                        elif wake >= 0:
-                            s = wake
-                        else:
+                        if wake < 0:
                             if wake == WAKE_HALT:
                                 contexts[i]._halted = True
                             continue  # halted or idle: no wake scheduled
-                        next_wake[i] = s
-                        slot_bucket = buckets.get(s)
+                        next_wake[i] = wake
+                        slot_bucket = buckets.get(wake)
                         if slot_bucket is None:
-                            buckets[s] = [i]
-                            heappush(heap, s)
+                            buckets[wake] = [i]
+                            heappush(heap, wake)
                         else:
                             slot_bucket.append(i)
                 awake = ()  # the kernel stepped the whole round

@@ -115,10 +115,17 @@ CAUGHT_AT_RUN_TIME = {
         ('    return {"forest_weight": weight, "mst_weight": expected}',
          '    return {"forest_weight": weight, "mst_weight": expected, "n": graph.num_nodes}'),
     ]),
-    24: ('WeightedBFS kernel reverses its awake column in place', 'core/bfs.py',  # P206
+    24: ('LabeledBFS kernel reverses its awake column in place', 'energy/labeled_bfs.py',  # P206
          'tests/test_kernels.py::TestBackendParity::test_event_engine_stores_are_byte_identical', [
         ('        codes = []\n        append = codes.append\n        for i in awake:',
          '        codes = []\n        append = codes.append\n        awake.reverse()\n        for i in awake:'),
+    ]),
+    25: ("a helper reverses the LabeledBFS kernel's CSR weight column", 'energy/labeled_bfs.py',  # F303
+         'tests/test_kernels.py::TestBackendParity::test_runner_state_and_metrics_identical', [
+        ('class _LabeledBFSKernel(BatchKernel):\n',
+         'def _flip(column):\n    column[:] = column[::-1]\n\n\nclass _LabeledBFSKernel(BatchKernel):\n'),
+        ('        self._wt = indexed.wt\n',
+         '        self._wt = indexed.wt\n        _flip(self._wt)\n'),
     ]),
     27: ("_LabeledBFSKernel's scalar offer loop clamps the CSR weight column", 'energy/labeled_bfs.py',
          f'{_SEED_REACHES}[labeled-bfs/grid]', [
@@ -128,7 +135,7 @@ CAUGHT_AT_RUN_TIME = {
 }
 
 #: Rows that only a batch kernel can show: without numpy no kernel runs.
-NEEDS_NUMPY = {24, 27}
+NEEDS_NUMPY = {24, 25, 27}
 
 
 def mutate(source: str, edits: list) -> str:

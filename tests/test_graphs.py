@@ -394,6 +394,16 @@ class TestIO:
         with pytest.raises(ValueError, match=message):
             loads(text)
 
+    @pytest.mark.parametrize("edges, label", [
+        ([("a", "b", 1)], "'a'"),
+        ([(0, 1, 1), (1, "x", 2)], "'x'"),
+        ([(0, True, 1)], "True"),
+        ([(2, 1.5, 1)], "1.5"),
+    ], ids=["strings", "one-string", "bool", "float"])
+    def test_dumps_refuses_a_label_loads_cannot_read(self, edges, label):
+        with pytest.raises(ValueError, match=rf"ints; {label} would not read back"):
+            dumps(Graph.from_edges(edges))
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))

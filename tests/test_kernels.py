@@ -14,14 +14,16 @@ import pytest
 
 from repro import graphs
 from repro.api import SweepSpec, run_sweep_spec
-from repro.core.bfs import WeightedBFS
+from repro.core.boruvka import _BoruvkaKernel
+from repro.core.trees import _ConvergecastKernel
+from repro.energy.labeled_bfs import LabeledBFS, _LabeledBFSKernel
 from repro.graphs.indexed import IndexedGraph
 from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, SimulationError
 from repro.sim import kernels
+from repro.sim.experiments import run_scenario
 from repro.sim.kernels import (
     WAKE_HALT,
     WAKE_IDLE,
-    WAKE_NEXT,
     BatchKernel,
     available_backends,
     current_backend,
@@ -37,15 +39,18 @@ def _graph(n=18, seed=3):
     return graphs.random_weights(g, 9, seed=seed)
 
 
+def _labeled(u, sources=(0, 5)):
+    return LabeledBFS(u, 10 ** 6, source_label=f"c{u}" if u in sources else None)
+
+
 def _bfs_state(n=18, seed=3, backend="scalar", **runner_kwargs):
     g = _graph(n, seed)
-    algs = {u: WeightedBFS(u, 10 ** 6, source_offset=0 if u == 0 else None,
-                           collect_parent=True)
-            for u in g.nodes()}
+    algs = {u: _labeled(u) for u in g.nodes()}
     metrics = Metrics()
     with use_backend(backend):
         Runner(g, algs, Mode.CONGEST, metrics=metrics, **runner_kwargs).run()
-    return metrics.to_dict(), {u: (a.dist, a.parent) for u, a in algs.items()}
+    return metrics.to_dict(), {u: (a.dist, a.label, a.parent, a.hops)
+                               for u, a in algs.items()}
 
 
 # ----------------------------------------------------------------------
@@ -91,8 +96,7 @@ class TestBackendKnob:
 class TestKernelGates:
     def _runner(self, **kwargs):
         g = _graph(12, seed=1)
-        algs = {u: WeightedBFS(u, 10 ** 6, source_offset=0 if u == 0 else None)
-                for u in g.nodes()}
+        algs = {u: _labeled(u) for u in g.nodes()}
         return Runner(g, algs, Mode.CONGEST, **kwargs)
 
     def test_scalar_backend_disables_kernels(self):
@@ -143,13 +147,44 @@ class TestKernelGates:
     def test_heterogeneous_roster_gate(self):
         g = graphs.path_graph(6)
 
-        class Other(WeightedBFS):
+        class Other(LabeledBFS):
             pass
 
-        algs = {u: (Other if u == 0 else WeightedBFS)(u, 10 ** 6,
-                source_offset=0 if u == 0 else None) for u in g.nodes()}
+        algs = {u: _labeled(u) for u in g.nodes()}
+        if kernels.numpy_or_none() is not None:
+            with use_backend("numpy"):  # control: the same roster, uniform
+                assert kernel_for(Runner(g, algs, Mode.CONGEST)) is not None
+        algs[0] = Other(0, 10 ** 6, source_label="c0")
         with use_backend("numpy"):
             assert kernel_for(Runner(g, algs, Mode.CONGEST)) is None
+
+
+class TestKernelsEngage:
+    """Each kernel steps rounds of a catalog cell, so the parity suite
+    below compares a kernel path with the scalar one, not scalar twice."""
+
+    @pytest.mark.parametrize("kernel, scenario, n", [
+        (_BoruvkaKernel, "boruvka/er", 18),
+        (_LabeledBFSKernel, "labeled-bfs/grid", 18),
+        (_ConvergecastKernel, "sssp/er", 32),
+    ], ids=["boruvka", "labeled-bfs", "convergecast"])
+    def test_kernel_steps_a_round_of_the_cell(self, kernel, scenario, n,
+                                              monkeypatch):
+        if kernels.numpy_or_none() is None:
+            pytest.skip("no numpy: backend resolves to scalar")
+        stepped = []
+        step = kernel.on_round_batch
+
+        def counted(self, r, *columns):
+            codes = step(self, r, *columns)
+            if codes is not None:
+                stepped.append(r)
+            return codes
+
+        monkeypatch.setattr(kernel, "on_round_batch", counted)
+        with use_backend("numpy"):
+            run_scenario(scenario, n, seed=0)
+        assert stepped
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +193,18 @@ class TestKernelGates:
 def _script(r, index):
     """``(wake code, unicast?, broadcast?)`` of node ``index`` at round ``r``.
 
-    Rounds 0, 1, 4, 5 and 6/8 give every awake node one code (next,
-    absolute, absolute into an existing bucket, idle, halt); round 3 mixes
-    all of them.  The halting rounds broadcast, so a node that failed to
-    halt would hear them.  CONGEST wakes receivers on arrival, so its awake
+    Rounds 0, 1, 4, 5 and 6/8 give every awake node one code (the next
+    round ``r + 1``, absolute, ``r + 1`` into an existing bucket, idle,
+    halt); round 3 mixes all of them.  The halting rounds broadcast, so a
+    node that failed to halt would hear them.  CONGEST wakes receivers on arrival, so its awake
     sets differ from SLEEPING's; each mode still meets every kind.
     """
     if r == 0:
-        return WAKE_NEXT, False, True
+        return 1, False, True
     if r == 1:
         return 3, False, False
     if r == 3:
-        return (WAKE_NEXT, 5, WAKE_IDLE, WAKE_HALT, 8)[index % 5], True, False
+        return (4, 5, WAKE_IDLE, WAKE_HALT, 8)[index % 5], True, False
     if r == 4:
         return 5, False, False
     if r in (6, 8):
@@ -177,10 +212,10 @@ def _script(r, index):
     return WAKE_IDLE, False, r == 5
 
 
-def _kind(codes):
+def _kind(r, codes):
     if len(set(codes)) > 1:
         return "mixed"
-    return {WAKE_NEXT: "next", WAKE_IDLE: "idle", WAKE_HALT: "halt"}.get(codes[0], "absolute")
+    return {r + 1: "next", WAKE_IDLE: "idle", WAKE_HALT: "halt"}.get(codes[0], "absolute")
 
 
 class _ScriptKernel(BatchKernel):
@@ -205,7 +240,7 @@ class _ScriptKernel(BatchKernel):
                 bcast_src.append(i)
                 bcast_payloads.append(("b", r, i))
             codes.append(code)
-        self.kinds.append(_kind(codes))
+        self.kinds.append(_kind(r, codes))
         return codes
 
 
