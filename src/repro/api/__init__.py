@@ -49,11 +49,9 @@ from .algorithms import (
 from .resultset import ResultSet, cell_key, failure_record, is_failure
 from .shard import find_shard_stores, merge_shards, shard_store_path, shard_store_paths
 from .specs import ReportSpec, SpecError, SweepSpec, load_spec
-from .run import (
-    run_report_spec,
-    run_sweep_spec,
-    smoke_spec,
-)
+
+#: Served by :mod:`repro.api.run` on first use (see :func:`__getattr__`).
+_EXECUTOR = ("run_report_spec", "run_sweep_spec", "smoke_spec")
 
 __all__ = [
     "AlgorithmSpec",
@@ -76,3 +74,18 @@ __all__ = [
     "shard_store_paths",
     "smoke_spec",
 ]
+
+
+def __getattr__(name: str):
+    """Load the sweep executor on first use.
+
+    :mod:`repro.api.run` brings in the fork supervisor and
+    ``multiprocessing``; ``import repro`` and every process that never
+    runs a sweep (spec validation, the scenario registry, ``repro info``)
+    skip that import.
+    """
+    if name in _EXECUTOR:
+        from . import run
+
+        return getattr(run, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

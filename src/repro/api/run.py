@@ -46,6 +46,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+from ..sim.kernels import current_backend, use_backend
 from .resultset import ResultSet, failure_record
 from .shard import shard_cells, shard_store_path
 from .specs import ReportSpec, SpecError, SweepSpec
@@ -476,6 +477,10 @@ def run_sweep_spec(
     # on success, driver errors, worker crashes, and Ctrl-C alike.
     shm_handles: list = []
     if context is not None:
+        # Resolve the backend before any fork, so workers inherit the
+        # imported numpy module instead of each importing it.
+        with use_backend(spec.backend):
+            current_backend()
         from ..sim import shm as shm_plane
 
         if shm_plane.available():
@@ -505,8 +510,6 @@ def run_sweep_spec(
                 fail=fail,
             )
         else:
-            from ..sim.kernels import use_backend
-
             with use_backend(spec.backend):
                 for group in group_list:
                     for index, row, metrics in experiments._run_cell_group(

@@ -60,6 +60,7 @@ from ..api.drivers import BUILTIN_ALGORITHMS, DriverError  # noqa: F401 (registe
 from ..graphs import generators
 from .events import canonical_latency, choose_engine, simulation_engine
 from .faults import canonical_fault, parse_fault_model
+from .kernels import current_backend, set_backend
 from .metrics import Metrics
 
 __all__ = [
@@ -451,6 +452,9 @@ def _run_cell(
         # An unparseable latency/fault string or an engine mismatch is a
         # configuration error, reported like any other bad sweep input.
         raise SweepError(f"cell {name!r}: {exc}") from exc
+    # The first backend resolution imports numpy: do it before the graph
+    # attach and the driver run, never inside them.
+    current_backend()
     graph = _cached_graph(scenario, n, seed)
     metrics = Metrics()
     driver = get_algorithm_spec(scenario.algorithm).resolve()
@@ -591,8 +595,6 @@ def _worker_loop(task_pipe, result_pipe, spec, with_metrics: bool) -> None:
     # any cell runs (the knob is provenance-only: rows are byte-identical
     # either way, so a retried group re-run under a fresh worker with the
     # same request cannot diverge from the first attempt).
-    from .kernels import set_backend
-
     set_backend(spec.backend)
     # A forked worker inherits the supervisor's graph cache — including
     # the instances the supervisor built only to publish their shared-

@@ -41,8 +41,8 @@ fault-free ones, agree byte-for-byte across engines.
 
 from __future__ import annotations
 
-import hashlib
 import random
+from hashlib import blake2b
 
 __all__ = ["FaultModel", "parse_fault_model", "canonical_fault"]
 
@@ -53,9 +53,30 @@ def _uniform(key: str) -> float:
     ``random.Random(key)`` would work (string seeding hashes with
     sha512), but building a full Mersenne state per message is
     needless; one blake2b digest is the cheap, equally stable draw.
+    A message draw is ``_uniform(key) < rate``; :class:`FaultModel`
+    computes the same verdict from a cached key prefix and
+    :func:`_draw_bound`.
     """
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64
+
+
+def _draw_bound(rate: float) -> bytes:
+    """The 8-byte big-endian bound below which a digest draws ``True``.
+
+    ``x / 2**64 < rate`` is monotone in the digest's integer ``x``, so
+    bisection finds the least ``x`` where it fails, and ``digest < bound``
+    as bytes gives the float compare's verdict for every ``x``.  The
+    bound fits in 8 bytes because ``(2**64 - 1) / 2**64`` rounds to 1.0.
+    """
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 < rate:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo.to_bytes(8, "big")
 
 
 def _check_prob(value: float, what: str) -> float:
@@ -113,6 +134,11 @@ class FaultModel:
         self.crash_time = crash_time
         self.restart_after = restart_after
         self.seed = seed
+        self._drop_bound = _draw_bound(self.drop)
+        self._dup_bound = _draw_bound(self.dup)
+        # UTF-8 key prefixes of the per-message draws, by (src, dst) label.
+        self._drop_prefixes: dict = {}
+        self._dup_prefixes: dict = {}
 
     # -- identity --------------------------------------------------------
     @property
@@ -157,6 +183,13 @@ class FaultModel:
         return f"FaultModel({self.name!r}, seed={self.seed})"
 
     # -- per-message draws ----------------------------------------------
+    # A draw is ``_uniform(key) < rate`` for the one-string key
+    # ``f"{seed}|{kind}|{rate:g}|{src!r}|{dst!r}|{time}|{index}"``.  The
+    # part up to ``dst`` is encoded once per label pair, and the digest is
+    # compared as bytes against the rate's bound (:func:`_draw_bound`), so
+    # a draw formats and hashes only its per-message suffix.  The cache is
+    # keyed by label, not port id, because one model serves runs over many
+    # subgraphs; labels that compare equal print equal (ints, strings).
     def drop_message(self, src: object, dst: object, time: int, index: int) -> bool:
         """Whether the ``index``-th message on ``src -> dst`` at ``time`` drops.
 
@@ -166,15 +199,25 @@ class FaultModel:
         """
         if not self.drop:
             return False
-        key = f"{self.seed}|drop|{self.drop:g}|{src!r}|{dst!r}|{time}|{index}"
-        return _uniform(key) < self.drop
+        return self._draw(self._drop_prefixes, "drop", self.drop, self._drop_bound,
+                          src, dst, time, index)
 
     def duplicate_message(self, src: object, dst: object, time: int, index: int) -> bool:
         """Whether that message is delivered twice (independent of dropping)."""
         if not self.dup:
             return False
-        key = f"{self.seed}|dup|{self.dup:g}|{src!r}|{dst!r}|{time}|{index}"
-        return _uniform(key) < self.dup
+        return self._draw(self._dup_prefixes, "dup", self.dup, self._dup_bound,
+                          src, dst, time, index)
+
+    def _draw(self, prefixes: dict, kind: str, rate: float, bound: bytes,
+              src: object, dst: object, time: int, index: int) -> bool:
+        prefix = prefixes.get((src, dst))
+        if prefix is None:
+            prefix = prefixes[src, dst] = (
+                f"{self.seed}|{kind}|{rate:g}|{src!r}|{dst!r}|".encode()
+            )
+        digest = blake2b(prefix + f"{time}|{index}".encode(), digest_size=8).digest()
+        return digest < bound
 
     # -- crash schedule --------------------------------------------------
     def crash_plan(self, labels) -> dict:

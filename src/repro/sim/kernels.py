@@ -45,16 +45,27 @@ numpy is importable) enables batch kernels, ``"scalar"`` forces the
 per-node path everywhere.  The knob is **provenance, not physics**: both
 backends produce byte-identical metrics and results, so it is never
 digested and every existing store resumes under either setting.
+
+numpy loads on the first backend resolution — :func:`numpy_or_none`,
+:func:`available_backends`, :func:`default_backend`,
+:func:`current_backend`, or a ``"numpy"`` request to :func:`set_backend`
+— never at ``import repro``.  A process that never resolves a backend
+does not import numpy at all: ``--help``, an argument or spec error,
+``repro sweep --list``/``--merge``, ``repro report``, a sweep whose store
+is already complete, and every process of a ``scalar`` sweep.  A process
+that runs a cell under the numpy backend pays the same import, at its
+first cell instead of at start-up.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-try:  # The numpy backend is optional; everything degrades to scalar.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_scalar tests
-    _np = None
+#: ``_np`` holds this sentinel until the first resolution, then the numpy
+#: module, or ``None`` when numpy is not importable (everything degrades to
+#: scalar).
+_UNRESOLVED = object()
+_np = _UNRESOLVED
 
 __all__ = [
     "BatchKernel",
@@ -77,7 +88,16 @@ WAKE_HALT = -4  #: ``ctx.halt()``: never step again; output is in state.
 
 
 def numpy_or_none():
-    """The numpy module when importable, else ``None`` (kernels vector-gate)."""
+    """The numpy module when importable, else ``None`` (kernels vector-gate).
+
+    The first call imports numpy; later calls return the cached answer.
+    """
+    global _np
+    if _np is _UNRESOLVED:
+        try:
+            import numpy as _np
+        except ImportError:
+            _np = None
     return _np
 
 
@@ -90,12 +110,12 @@ _requested: str | None = None  # None -> default
 
 def available_backends() -> tuple[str, ...]:
     """Backends this interpreter can actually run."""
-    return _BACKENDS if _np is not None else ("scalar",)
+    return _BACKENDS if numpy_or_none() is not None else ("scalar",)
 
 
 def default_backend() -> str:
     """``"numpy"`` when numpy is importable, else ``"scalar"``."""
-    return "numpy" if _np is not None else "scalar"
+    return "numpy" if numpy_or_none() is not None else "scalar"
 
 
 def current_backend() -> str:
@@ -105,18 +125,24 @@ def current_backend() -> str:
     ``"scalar"`` — the graceful-fallback contract the CI matrix pins.
     """
     name = _requested if _requested is not None else default_backend()
-    if name == "numpy" and _np is None:
+    if name == "numpy" and numpy_or_none() is None:
         return "scalar"
     return name
 
 
 def set_backend(name: str | None) -> None:
-    """Request a backend (``None`` restores the default)."""
+    """Request a backend (``None`` restores the default).
+
+    A ``"numpy"`` request resolves numpy at once, so the import happens
+    here and not inside the first run that dispatches a kernel.
+    """
     global _requested
     if name is not None and name not in _BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {_BACKENDS}"
         )
+    if name == "numpy":
+        numpy_or_none()
     _requested = name
 
 

@@ -570,6 +570,9 @@ class Runner:
         crashed: list[bool] | None = None
         crash_at: dict[int, list[int]] | None = None
         restart_at: dict[int, list[int]] = {}
+        # Each rate is tested once per run: a zero-rate hazard makes no draws.
+        drops = plane.drop_message if plane is not None and plane.drop else None
+        dups = plane.duplicate_message if plane is not None and plane.dup else None
         if plane is not None:
             crashed = [False] * n
             if plane.crashes:
@@ -801,7 +804,7 @@ class Runner:
                         dst = labels[dst_i]
                         k = occ.get(port_id, 0)
                         occ[port_id] = k + 1
-                        if plane.drop_message(src, dst, r, k) or crashed[dst_i]:
+                        if (drops is not None and drops(src, dst, r, k)) or crashed[dst_i]:
                             metrics.messages_dropped += 1
                             continue
                     # A sleeping-model message reaches its target only if the
@@ -814,7 +817,7 @@ class Runner:
                         continue
                     # The duplicate lands right after the original — a fault
                     # artifact outside the capacity and message metering.
-                    dup = plane is not None and plane.duplicate_message(src, dst, r, k)
+                    dup = dups is not None and dups(src, dst, r, k)
                     if dup:
                         metrics.record_duplicated(src, dst)
                     if delays is not None:

@@ -35,15 +35,18 @@ Ownership and cleanup — the part that must survive every failure mode:
 
 Graceful degradation: on platforms without ``multiprocessing.shared_memory``
 (or without ``/dev/shm``), :func:`available` is False and the sweep runs
-exactly as before.  numpy is optional — without it the attach still works
-(the engine's plain-list CSR is materialized from the mapped buffer) and
-only the zero-copy ``csr()`` seeding is skipped.
+exactly as before.  numpy is optional — without it, or under the scalar
+backend, the attach still works (the engine's plain-list CSR is
+materialized from the mapped buffer) and only the zero-copy ``csr()``
+seeding is skipped.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+
+from .kernels import current_backend, numpy_or_none
 
 __all__ = [
     "available",
@@ -155,7 +158,7 @@ def attach_graph(name: str):
     The returned graph's ``_adj`` rows are laid out in CSR order, so the
     rebuilt adjacency — and any view derived from it — is byte-identical
     to the publisher's.  Its cached indexed view is seeded directly from
-    the mapped CSR (zero-copy numpy views when numpy is importable).
+    the mapped CSR (zero-copy numpy views under the numpy backend).
     Returns ``None`` when the segment cannot be attached; callers fall
     back to building the graph locally.
     """
@@ -187,9 +190,9 @@ def attach_graph(name: str):
     wt_end = nbr_end + ports * _WORD
     labels = pickle.loads(bytes(buf[wt_end : wt_end + blob_len]))
     csr_views = None
-    try:
-        import numpy as np
-
+    # Only batch kernels read the numpy views, so a scalar worker skips them.
+    np = numpy_or_none() if current_backend() == "numpy" else None
+    if np is not None:
         csr_views = (
             np.frombuffer(buf, dtype=np.int64, count=n + 1, offset=offset),
             np.frombuffer(buf, dtype=np.int64, count=ports, offset=indptr_end),
@@ -198,7 +201,7 @@ def attach_graph(name: str):
         for a in csr_views:
             a.flags.writeable = False
         indptr, nbr, wt = (a.tolist() for a in csr_views)
-    except ImportError:
+    else:
         indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
         nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
         wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)

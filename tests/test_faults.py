@@ -41,6 +41,8 @@ from repro.sim.experiments import (
     scenario_digest,
 )
 from repro.__main__ import main
+from repro.baselines import run_bellman_ford
+from repro.sim.faults import _draw_bound, _uniform
 
 #: The registered scenarios that carry their own non-none fault plane.
 FAULT_SCENARIOS = (
@@ -156,6 +158,70 @@ def test_composing_dup_does_not_perturb_drop_draws():
             for i in range(2)]
     assert [bare.drop_message(*k) for k in keys] == \
         [composed.drop_message(*k) for k in keys]
+
+
+#: Rates at both ends of (0, 1) and the ones the catalog uses.
+DRAW_RATES = (0.05, 0.1, 1e-9, 0.999999)
+
+#: 10,000 draw keys per label kind.  The string labels include a repr
+#: holding the key's own ``|`` separator and a non-ASCII one.
+INT_DRAW_KEYS = [(s, d, t, i) for s in range(10) for d in range(10)
+                 for t in range(25) for i in range(4)]
+_STRINGS = ["a", "b|c", "|", "x y", "é", "'q'", "n0", "n10", "v|7|", "z"]
+STR_DRAW_KEYS = [(s, d, t, i) for s in _STRINGS for d in _STRINGS
+                 for t in range(25) for i in range(4)]
+
+
+@pytest.mark.parametrize("rate", DRAW_RATES)
+@pytest.mark.parametrize("labels", ["int", "str"])
+def test_cached_draw_equals_the_one_string_draw(rate, labels):
+    # The cached prefix and the bytes bound must decide every draw as the
+    # plain form does: one key string, one digest, one float compare.
+    keys = INT_DRAW_KEYS if labels == "int" else STR_DRAW_KEYS
+    plane = FaultModel(drop=rate, dup=rate, seed=7)
+    for kind, draw in (("drop", plane.drop_message), ("dup", plane.duplicate_message)):
+        made = [draw(*key) for key in keys]
+        plain = [
+            _uniform(f"7|{kind}|{rate:g}|{s!r}|{d!r}|{t}|{i}") < rate
+            for s, d, t, i in keys
+        ]
+        assert made == plain, kind
+        if rate in (0.05, 0.1):
+            assert any(made) and not all(made)
+
+
+@pytest.mark.parametrize("rate", DRAW_RATES)
+def test_draw_bound_splits_the_digests_exactly_where_the_float_compare_does(rate):
+    bound = _draw_bound(rate)
+    x = int.from_bytes(bound, "big")
+    # The integers either side of the bound: below it draws True, at it False.
+    assert (x - 1) / 2**64 < rate
+    assert not x / 2**64 < rate
+    assert (x - 1).to_bytes(8, "big") < bound
+    assert not x.to_bytes(8, "big") < bound
+
+
+def test_zero_rates_make_no_draws(monkeypatch):
+    # Each rate is tested once per run, so a crash-only plane calls neither
+    # draw and a drop-only plane never calls duplicate_message.
+    calls = {"drop_message": 0, "duplicate_message": 0}
+    for name in calls:
+        method = getattr(FaultModel, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FaultModel, name, counted)
+    graph = generators.make_family("er", 16, max_weight=5, seed=0)
+    for faults, drops, dups in (("crash:1@3", False, False),
+                                ("drop:0.1", True, False),
+                                ("dup:0.1", False, True)):
+        calls.update(dict.fromkeys(calls, 0))
+        with simulation_engine("round", "unit", seed=0, faults=faults):
+            run_bellman_ford(graph, 0, metrics=Metrics())
+        assert (calls["drop_message"] > 0, calls["duplicate_message"] > 0) == \
+            (drops, dups), faults
 
 
 def test_crash_plan_is_label_set_deterministic_and_staggered():
