@@ -470,7 +470,7 @@ def run_sweep_spec(
             context = multiprocessing.get_context("fork")
         except ValueError:
             context = None  # no fork on this platform: run sequentially
-    # Zero-copy graph plane: build each group's graph once in the
+    # Shared-memory graph plane: build each group's graph once in the
     # supervisor and publish its CSR as a shared-memory segment.  The
     # attach map is set before any fork so workers inherit it; segments
     # are owned by this process only and unlinked in the finally below —

@@ -18,7 +18,6 @@ from collections.abc import Callable, Iterable
 
 from ..graphs import Graph
 from ..sim import Context, Metrics, Mode, NodeAlgorithm, make_runner
-from ..sim.kernels import WAKE_HALT, WAKE_IDLE, BatchKernel
 
 __all__ = [
     "RootedForest",
@@ -154,6 +153,9 @@ class ConvergecastBroadcast(NodeAlgorithm):
     Time is ``O(tree depth)`` and exactly two messages traverse each tree
     edge (one up, one down) — the costs the paper charges for step 4 of the
     CSSP recursion, and the building block for "did everyone finish".
+
+    No batch kernel: one measured within noise of scalar end to end
+    (DESIGN.md, "Batch kernels: metering parity is the contract").
     """
 
     def __init__(
@@ -193,70 +195,6 @@ class ConvergecastBroadcast(NodeAlgorithm):
             ctx.halt()
             return
         ctx.idle()
-
-    #: Below this roster size the batch path's setup costs more than it
-    #: saves (measured ~n=32 crossover); tests pin it to 0 to force the
-    #: kernel on small fixtures.  Either path is byte-identical.
-    _KERNEL_MIN_NODES = 32
-
-    @classmethod
-    def batch_kernel(cls, runner) -> "_ConvergecastKernel | None":
-        algorithms = runner._algorithms_by_index
-        if len(algorithms) < cls._KERNEL_MIN_NODES:
-            return None
-        return _ConvergecastKernel(runner, algorithms)
-
-
-class _ConvergecastKernel(BatchKernel):
-    """Batch kernel for :class:`ConvergecastBroadcast`.
-
-    Every round of the protocol has the same regular shape (ingest, maybe
-    fold up, maybe flood down, else idle), so the kernel handles all of
-    them and never declines.  Instance-backed: ``_reports``/``_sent_up``/
-    ``result`` are mutated in place, and ``combine`` is the caller's
-    callable, invoked exactly as the scalar path would.
-    """
-
-    def __init__(self, runner, algorithms) -> None:
-        self._algorithms = algorithms
-        self._ports = [v[2] for v in runner.indexed.node_views()]
-
-    def on_round_batch(
-        self, r, awake, inboxes,
-        out_ports, out_payloads, bcast_src, bcast_payloads,
-    ):
-        algorithms = self._algorithms
-        ports_of = self._ports
-        codes = []
-        append = codes.append
-        for i in awake:
-            alg = algorithms[i]
-            box = inboxes[i]
-            if box.senders:
-                for payload in box.payloads:  # senders are not part of the fold
-                    kind, body = payload
-                    if kind == "up":
-                        alg._reports.append(body)
-                    elif kind == "down":
-                        alg.result = body
-            if not alg._sent_up and len(alg._reports) == len(alg.children):
-                aggregate = alg.combine([alg.value] + alg._reports)
-                alg._sent_up = True
-                if alg.parent is None:
-                    alg.result = aggregate
-                else:
-                    out_ports.append(ports_of[i][alg.parent][0])
-                    out_payloads.append(("up", aggregate))
-            if alg.result is not _UNSET and alg._sent_up:
-                ports = ports_of[i]
-                result = alg.result
-                for child in alg.children:
-                    out_ports.append(ports[child][0])
-                    out_payloads.append(("down", result))
-                append(WAKE_HALT)
-            else:
-                append(WAKE_IDLE)
-        return codes
 
 
 def run_convergecast_broadcast(

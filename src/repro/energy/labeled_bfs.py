@@ -16,102 +16,8 @@ from __future__ import annotations
 
 from ..graphs import Graph, INFINITY
 from ..sim import Context, Metrics, Mode, NodeAlgorithm, make_runner
-from ..sim.kernels import WAKE_HALT, BatchKernel, numpy_or_none
 
 __all__ = ["LabeledBFS", "run_labeled_bfs"]
-
-
-class _LabeledBFSKernel(BatchKernel):
-    """Batch kernel for :class:`LabeledBFS`: the roster as state columns.
-
-    Full-state kernel, written back in :meth:`finalize`; every branch
-    mirrors one of :meth:`LabeledBFS.on_round`, including its exact
-    finalization test ``_best[0] == r`` (it runs in strict CONGEST only).
-    Offer payloads are tuples, so numpy only vectorizes the
-    offer/threshold selection of high-degree nodes, with ``tolist()``
-    keeping the distances plain ints.
-    """
-
-    def __init__(self, runner, algorithms) -> None:
-        indexed = runner.indexed
-        self._algorithms = algorithms
-        self._indptr = indexed.indptr
-        self._wt = indexed.wt
-        self._np = np = numpy_or_none()
-        csr = indexed.csr() if np is not None else None
-        self._np_wt = csr[2] if csr is not None else None
-        self._best = [a._best for a in algorithms]
-        self._finalized = [a._finalized for a in algorithms]
-        self._dist = [a.dist for a in algorithms]
-        self._label = [a.label for a in algorithms]
-        self._parent = [a.parent for a in algorithms]
-        self._hops = [a.hops for a in algorithms]
-        self._threshold = [a.threshold for a in algorithms]
-
-    def on_round_batch(
-        self, r, awake, inboxes,
-        out_ports, out_payloads, bcast_src, bcast_payloads,
-    ):
-        best_col = self._best
-        finalized = self._finalized
-        threshold = self._threshold
-        indptr = self._indptr
-        wt = self._wt
-        np = self._np
-        np_wt = self._np_wt
-        codes = []
-        append = codes.append
-        for i in awake:
-            if finalized[i]:
-                append(WAKE_HALT)
-                continue
-            box = inboxes[i]
-            b = best_col[i]
-            if box.senders:
-                for sender, (dist, key, label, hops) in zip(box.senders, box.payloads):
-                    if b is None or dist < b[0] or (dist == b[0] and key < b[1]):
-                        b = (dist, key, label, sender, hops)
-                best_col[i] = b
-            thr = threshold[i]
-            if b is not None and b[0] == r and r <= thr:
-                dist, key, label, parent, hops = b
-                self._dist[i] = dist
-                self._label[i] = label
-                self._parent[i] = parent
-                self._hops[i] = hops
-                finalized[i] = True
-                payload_hops = hops + 1
-                lo = indptr[i]
-                hi = indptr[i + 1]
-                if np_wt is not None and hi - lo >= 16:
-                    offers = np_wt[lo:hi] + dist
-                    sel = np.flatnonzero(offers <= thr)
-                    for k, offer in zip(sel.tolist(), offers[sel].tolist()):
-                        out_ports.append(lo + k)
-                        out_payloads.append((offer, key, label, payload_hops))
-                else:
-                    for p in range(lo, hi):
-                        offer = dist + wt[p]
-                        if offer <= thr:
-                            out_ports.append(p)
-                            out_payloads.append((offer, key, label, payload_hops))
-                append(WAKE_HALT)
-            elif b is not None and b[0] <= thr:
-                append(b[0])  # wake_at(_best): b[0] > r in this branch
-            elif r <= thr:
-                append(thr + 1)
-            else:
-                append(WAKE_HALT)
-        return codes
-
-    def finalize(self) -> None:
-        for i, alg in enumerate(self._algorithms):
-            alg.dist = self._dist[i]
-            alg.label = self._label[i]
-            alg.parent = self._parent[i]
-            alg.hops = self._hops[i]
-            alg._best = self._best[i]
-            alg._finalized = self._finalized[i]
 
 
 class LabeledBFS(NodeAlgorithm):
@@ -122,6 +28,9 @@ class LabeledBFS(NodeAlgorithm):
     the round ruler reaches that distance, exactly like
     :class:`repro.core.bfs.WeightedBFS` but carrying the winning label.
     ``self.dist``, ``self.label`` and ``self.parent`` hold the result.
+
+    No batch kernel: one measured within noise of scalar end to end
+    (DESIGN.md, "Batch kernels: metering parity is the contract").
     """
 
     def __init__(self, node: object, threshold: int, source_label: object = None) -> None:
@@ -170,10 +79,6 @@ class LabeledBFS(NodeAlgorithm):
             ctx.wake_at(self.threshold + 1)
             return
         ctx.halt()
-
-    @classmethod
-    def batch_kernel(cls, runner) -> _LabeledBFSKernel:
-        return _LabeledBFSKernel(runner, runner._algorithms_by_index)
 
 
 def run_labeled_bfs(

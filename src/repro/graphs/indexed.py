@@ -58,7 +58,6 @@ class IndexedGraph:
         "_port_src_labels",
         "_port_pairs",
         "_engine_pool",
-        "_csr",
     )
 
     def __init__(self, graph) -> None:
@@ -97,18 +96,13 @@ class IndexedGraph:
         # Single-slot pool of runner engine state (contexts, inboxes) —
         # checked out by Runner.__init__, returned by a clean run().
         self._engine_pool: tuple | None = None
-        # Cached (indptr, nbr, wt) numpy export; see csr().
-        self._csr: tuple | None = None
 
     @classmethod
-    def from_csr(cls, labels, indptr, nbr, wt, *, csr_views=None) -> "IndexedGraph":
+    def from_csr(cls, labels, indptr, nbr, wt) -> "IndexedGraph":
         """Build a view directly from CSR columns (the shm attach path).
 
         ``indptr``/``nbr``/``wt`` are any integer sequences; they are
-        materialized into the plain tuples the engine indexes.  When the
-        caller already holds numpy views over the same data (e.g. mapped
-        shared memory), passing them as ``csr_views`` seeds the
-        :meth:`csr` cache so the flat-array export stays zero-copy.
+        materialized into the plain tuples the engine indexes.
         """
         self = object.__new__(cls)
         self.labels = labels = list(labels)
@@ -122,34 +116,7 @@ class IndexedGraph:
         self._port_src_labels = None
         self._port_pairs = None
         self._engine_pool = None
-        self._csr = csr_views
         return self
-
-    def csr(self) -> tuple | None:
-        """The CSR structure as flat ``int64`` numpy arrays, or ``None``.
-
-        Returns ``(indptr, nbr, wt)`` — read-only views batch kernels use
-        for vectorized expansion — built once per view and cached.  The
-        engine's own bookkeeping stays on the plain lists (scalar indexing
-        of numpy arrays is slower and yields ``np.int64``); the arrays
-        exist for *bulk* operations only.  ``None`` when numpy is
-        unavailable (callers fall back to the lists).
-        """
-        arrays = self._csr
-        if arrays is None:
-            try:
-                import numpy as np
-            except ImportError:  # pragma: no cover - numpy-less fallback
-                return None
-            arrays = (
-                np.asarray(self.indptr, dtype=np.int64),
-                np.asarray(self.nbr, dtype=np.int64),
-                np.asarray(self.wt, dtype=np.int64),
-            )
-            for a in arrays:
-                a.flags.writeable = False
-            self._csr = arrays
-        return arrays
 
     # ------------------------------------------------------------------
     @classmethod

@@ -108,7 +108,8 @@ class Scenario:
 
     ``family`` keys into :data:`repro.graphs.generators.FAMILIES`;
     ``algorithm`` keys into the :class:`~repro.api.AlgorithmSpec` registry.
-    ``max_weight > 1`` gives instances random integer weights in
+    ``max_weight`` is an int ``>= 1`` (registration rejects anything
+    else); ``max_weight > 1`` gives instances random integer weights in
     ``[1, max_weight]`` drawn from the per-run seed, so every ``(size,
     seed)`` cell is a distinct instance.  ``params`` is a tuple of ``(key,
     value)`` pairs forwarded to the driver (kept as a tuple so scenarios
@@ -199,6 +200,12 @@ def register_scenario(scenario: Scenario) -> Scenario:
                 f"declares no tolerance for fault kind(s) {missing} "
                 f"(declared: {sorted(spec.fault_tolerance) or 'none'})"
             )
+    weight = scenario.max_weight
+    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+        raise SweepError(
+            f"scenario {scenario.name!r}: max_weight must be an int >= 1, "
+            f"got {weight!r}"
+        )
     for bound_name in ("max_time", "message_budget"):
         bound = getattr(scenario, bound_name)
         if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int) or bound < 1):
@@ -598,8 +605,10 @@ def _worker_loop(task_pipe, result_pipe, spec, with_metrics: bool) -> None:
     set_backend(spec.backend)
     # A forked worker inherits the supervisor's graph cache — including
     # the instances the supervisor built only to publish their shared-
-    # memory segments.  Drop them so this worker attaches the shared CSR
-    # pages (zero-copy) instead of pinning copy-on-write duplicates.
+    # memory segments.  Drop them so this worker unpacks its graphs from
+    # the shared segments, as a worker that inherited none does, instead
+    # of touching the inherited copies (reference counts copy their pages
+    # on write).
     if _SHM_ATTACH:
         _GRAPH_CACHE.clear()
     while True:

@@ -40,8 +40,13 @@ state; the engine then runs the scalar path for that round.  This keeps
 kernels honest on protocols (Boruvka) where only some rounds have a
 regular batch shape.
 
+A kernel stays only while it is measurably faster end to end (DESIGN.md,
+"Batch kernels: metering parity is the contract"); Boruvka's
+(:mod:`repro.core.boruvka`) is the one that does.
+
 The ``backend`` knob selects the dispatch path: ``"numpy"`` (default when
-numpy is importable) enables batch kernels, ``"scalar"`` forces the
+numpy is importable) enables batch kernels and APSP's vectorized
+superposition count (:mod:`repro.core.apsp`), ``"scalar"`` forces the
 per-node path everywhere.  The knob is **provenance, not physics**: both
 backends produce byte-identical metrics and results, so it is never
 digested and every existing store resumes under either setting.
@@ -69,7 +74,6 @@ _np = _UNRESOLVED
 
 __all__ = [
     "BatchKernel",
-    "WAKE_IDLE",
     "WAKE_HALT",
     "numpy_or_none",
     "available_backends",
@@ -82,9 +86,9 @@ __all__ = [
 
 #: Wake codes a kernel returns per awake node.  Any value ``>= 0`` is an
 #: absolute wake round (the ``ctx.wake_at`` analog, above the current round
-#: ``r``; ``r + 1`` is the next); the negative codes mirror the scalar ones.
-WAKE_IDLE = -3  #: ``ctx.idle()``: sleep with no schedule (wake-on-message).
-WAKE_HALT = -4  #: ``ctx.halt()``: never step again; output is in state.
+#: ``r``; ``r + 1`` is the next); the one negative code mirrors ``ctx.halt()``:
+#: never step again, the output is in state.
+WAKE_HALT = -4
 
 
 def numpy_or_none():

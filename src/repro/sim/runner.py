@@ -724,15 +724,14 @@ class Runner:
                             heappush(heap, wake)
                         else:
                             slot_bucket.extend(awake)
-                    elif wake == WAKE_HALT:
+                    else:  # WAKE_HALT
                         for i in awake:
                             contexts[i]._halted = True
                 else:
                     for i, wake in zip(awake, codes):
-                        if wake < 0:
-                            if wake == WAKE_HALT:
-                                contexts[i]._halted = True
-                            continue  # halted or idle: no wake scheduled
+                        if wake == WAKE_HALT:
+                            contexts[i]._halted = True
+                            continue
                         next_wake[i] = wake
                         slot_bucket = buckets.get(wake)
                         if slot_bucket is None:

@@ -1,19 +1,19 @@
-"""Zero-copy shared-memory graph plane for sweep workers.
+"""Shared-memory graph plane for sweep workers.
 
 A sweep's locality groups all share graph instances keyed by
 ``(family, max_weight, n, seed)``.  Without this module every worker
 regenerates its group's graph from the family recipe; with it, the
 supervisor builds each graph once, publishes its CSR columns into one
 ``multiprocessing.shared_memory`` segment, and forked workers *attach* —
-the OS maps the same physical pages into the worker, no pickling and no
-regeneration.  The attach rebuilds the label-space :class:`Graph` (drivers
-iterate neighbors by label) and seeds its cached
+the OS maps the same physical pages into the worker, and the worker
+unpacks the columns with :func:`struct.unpack_from`: no pickling of the
+adjacency and no regeneration.  The attach rebuilds the label-space
+:class:`Graph` (drivers iterate neighbors by label) and seeds its cached
 :class:`~repro.graphs.indexed.IndexedGraph` via
-:meth:`~repro.graphs.indexed.IndexedGraph.from_csr`, passing numpy views
-over the mapped buffer as ``csr_views`` so the flat-array export batch
-kernels consume stays zero-copy end to end.  Everything is byte-order
-exact: the attached CSR *is* the publisher's CSR, so row/metric identity
-across worker counts is structural, not probabilistic.
+:meth:`~repro.graphs.indexed.IndexedGraph.from_csr` with the unpacked
+tuples.  Everything is byte-order exact: the attached CSR *is* the
+publisher's CSR, so row/metric identity across worker counts is
+structural, not probabilistic.
 
 Ownership and cleanup — the part that must survive every failure mode:
 
@@ -35,18 +35,14 @@ Ownership and cleanup — the part that must survive every failure mode:
 
 Graceful degradation: on platforms without ``multiprocessing.shared_memory``
 (or without ``/dev/shm``), :func:`available` is False and the sweep runs
-exactly as before.  numpy is optional — without it, or under the scalar
-backend, the attach still works (the engine's plain-list CSR is
-materialized from the mapped buffer) and only the zero-copy ``csr()``
-seeding is skipped.
+exactly as before.  The attach is one path whatever the dispatch
+backend.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-
-from .kernels import current_backend, numpy_or_none
 
 __all__ = [
     "available",
@@ -69,8 +65,8 @@ _WORD = 8  # int64 column width
 #: Segments published by THIS process (name -> SharedGraphHandle).
 _PUBLISHED: dict[str, "SharedGraphHandle"] = {}
 
-#: Segments attached by THIS process; kept open for the process lifetime
-#: (numpy views and materialized graphs reference the mapped buffer).
+#: Segments attached by THIS process; kept open for the process lifetime,
+#: so a second attach of one segment skips the open.
 _ATTACHED: dict[str, object] = {}
 
 
@@ -158,7 +154,7 @@ def attach_graph(name: str):
     The returned graph's ``_adj`` rows are laid out in CSR order, so the
     rebuilt adjacency — and any view derived from it — is byte-identical
     to the publisher's.  Its cached indexed view is seeded directly from
-    the mapped CSR (zero-copy numpy views under the numpy backend).
+    the CSR tuples unpacked from the mapped buffer.
     Returns ``None`` when the segment cannot be attached; callers fall
     back to building the graph locally.
     """
@@ -189,23 +185,10 @@ def attach_graph(name: str):
     nbr_end = indptr_end + ports * _WORD
     wt_end = nbr_end + ports * _WORD
     labels = pickle.loads(bytes(buf[wt_end : wt_end + blob_len]))
-    csr_views = None
-    # Only batch kernels read the numpy views, so a scalar worker skips them.
-    np = numpy_or_none() if current_backend() == "numpy" else None
-    if np is not None:
-        csr_views = (
-            np.frombuffer(buf, dtype=np.int64, count=n + 1, offset=offset),
-            np.frombuffer(buf, dtype=np.int64, count=ports, offset=indptr_end),
-            np.frombuffer(buf, dtype=np.int64, count=ports, offset=nbr_end),
-        )
-        for a in csr_views:
-            a.flags.writeable = False
-        indptr, nbr, wt = (a.tolist() for a in csr_views)
-    else:
-        indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
-        nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
-        wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)
-    indexed = IndexedGraph.from_csr(labels, indptr, nbr, wt, csr_views=csr_views)
+    indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
+    nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
+    wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)
+    indexed = IndexedGraph.from_csr(labels, indptr, nbr, wt)
     graph = Graph()
     adj = graph._adj
     for i, u in enumerate(labels):

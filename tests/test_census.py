@@ -24,8 +24,7 @@ _SEED_REACHES = "tests/test_driver_catalog.py::TestSeedVariation::test_driver_se
 
 #: Census row -> (mutation, module under src/repro, the cheapest tier-1 test
 #: that fails on it, [(anchor, replacement), ...]).  The comment names the
-#: deleted lint rule that used to fire on the row.  Row 27 has none: no
-#: rule fired on it (P206 missed it).
+#: deleted lint rule that used to fire on the row.
 CAUGHT_AT_RUN_TIME = {
     3: ('_sample_nodes uses random.Random(0)', 'api/drivers.py',  # P203
         f'{_SEED_REACHES}[labeled-bfs/grid]', [
@@ -115,27 +114,22 @@ CAUGHT_AT_RUN_TIME = {
         ('    return {"forest_weight": weight, "mst_weight": expected}',
          '    return {"forest_weight": weight, "mst_weight": expected, "n": graph.num_nodes}'),
     ]),
-    24: ('LabeledBFS kernel reverses its awake column in place', 'energy/labeled_bfs.py',  # P206
+    24: ('the Boruvka kernel reverses its awake column in place', 'core/boruvka.py',  # P206
          'tests/test_kernels.py::TestBackendParity::test_event_engine_stores_are_byte_identical', [
-        ('        codes = []\n        append = codes.append\n        for i in awake:',
-         '        codes = []\n        append = codes.append\n        awake.reverse()\n        for i in awake:'),
+        ('                    codes.append(next_phase)\n            return codes\n',
+         '                    codes.append(next_phase)\n            awake.reverse()\n            return codes\n'),
     ]),
-    25: ("a helper reverses the LabeledBFS kernel's CSR weight column", 'energy/labeled_bfs.py',  # F303
+    25: ("a helper reverses the CSR weight column in the Boruvka kernel's set-up", 'core/boruvka.py',  # F303
          'tests/test_kernels.py::TestBackendParity::test_runner_state_and_metrics_identical', [
-        ('class _LabeledBFSKernel(BatchKernel):\n',
-         'def _flip(column):\n    column[:] = column[::-1]\n\n\nclass _LabeledBFSKernel(BatchKernel):\n'),
-        ('        self._wt = indexed.wt\n',
-         '        self._wt = indexed.wt\n        _flip(self._wt)\n'),
-    ]),
-    27: ("_LabeledBFSKernel's scalar offer loop clamps the CSR weight column", 'energy/labeled_bfs.py',
-         f'{_SEED_REACHES}[labeled-bfs/grid]', [
-        ('                    for p in range(lo, hi):\n                        offer = dist + wt[p]\n',
-         '                    for p in range(lo, hi):\n                        wt[p] = max(wt[p], 1)\n                        offer = dist + wt[p]\n'),
+        ('class _BoruvkaKernel(BatchKernel):\n',
+         'def _flip(column):\n    column[:] = column[::-1]\n\n\nclass _BoruvkaKernel(BatchKernel):\n'),
+        ('        views = runner.indexed.node_views()\n',
+         '        views = runner.indexed.node_views()\n        _flip(runner.indexed.wt)\n'),
     ]),
 }
 
 #: Rows that only a batch kernel can show: without numpy no kernel runs.
-NEEDS_NUMPY = {24, 25, 27}
+NEEDS_NUMPY = {24, 25}
 
 
 def mutate(source: str, edits: list) -> str:

@@ -52,6 +52,14 @@ class TestRegistry:
         with pytest.raises(SweepError, match="unknown algorithm"):
             register_scenario(Scenario("bad", "er", "nope"))
 
+    @pytest.mark.parametrize("max_weight", [0, -1, True, 2.5])
+    def test_register_rejects_a_max_weight_below_one_or_not_an_int(self, max_weight):
+        # 0 would build the max_weight=1 instance under another digest;
+        # 2.5 would fail only inside the cell, without the scenario's name.
+        with pytest.raises(SweepError, match=r"scenario 'x/er': max_weight must be an int >= 1"):
+            register_scenario(Scenario("x/er", "er", "sssp", max_weight=max_weight))
+        assert "x/er" not in list_scenarios()
+
     def test_register_and_run_custom_scenario(self):
         name = "test-only/dijkstra-path"
         register_scenario(Scenario(name, "path", "dijkstra", max_weight=5))

@@ -14,16 +14,13 @@ import pytest
 
 from repro import graphs
 from repro.api import SweepSpec, run_sweep_spec
-from repro.core.boruvka import _BoruvkaKernel
-from repro.core.trees import _ConvergecastKernel
-from repro.energy.labeled_bfs import LabeledBFS, _LabeledBFSKernel
+from repro.core.boruvka import BoruvkaNode, _BoruvkaKernel
 from repro.graphs.indexed import IndexedGraph
 from repro.sim import Metrics, Mode, NodeAlgorithm, Runner, SimulationError
 from repro.sim import kernels
 from repro.sim.experiments import run_scenario
 from repro.sim.kernels import (
     WAKE_HALT,
-    WAKE_IDLE,
     BatchKernel,
     available_backends,
     current_backend,
@@ -39,18 +36,18 @@ def _graph(n=18, seed=3):
     return graphs.random_weights(g, 9, seed=seed)
 
 
-def _labeled(u, sources=(0, 5)):
-    return LabeledBFS(u, 10 ** 6, source_label=f"c{u}" if u in sources else None)
-
-
-def _bfs_state(n=18, seed=3, backend="scalar", **runner_kwargs):
+def _forest_state(n=18, seed=3, backend="scalar", **runner_kwargs):
+    """Metrics and final per-node state of one Boruvka run (it has a kernel)."""
     g = _graph(n, seed)
-    algs = {u: _labeled(u) for u in g.nodes()}
+    algs = {u: BoruvkaNode(u, n) for u in g.nodes()}
     metrics = Metrics()
     with use_backend(backend):
         Runner(g, algs, Mode.CONGEST, metrics=metrics, **runner_kwargs).run()
-    return metrics.to_dict(), {u: (a.dist, a.label, a.parent, a.hops)
-                               for u, a in algs.items()}
+    return metrics.to_dict(), {
+        u: (a.parent, sorted(a.children, key=repr), a.fragment, a.depth,
+            a.complete, a._decision)
+        for u, a in algs.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +93,7 @@ class TestBackendKnob:
 class TestKernelGates:
     def _runner(self, **kwargs):
         g = _graph(12, seed=1)
-        algs = {u: _labeled(u) for u in g.nodes()}
+        algs = {u: BoruvkaNode(u, 12) for u in g.nodes()}
         return Runner(g, algs, Mode.CONGEST, **kwargs)
 
     def test_scalar_backend_disables_kernels(self):
@@ -114,8 +111,8 @@ class TestKernelGates:
         if kernels.numpy_or_none() is not None:
             with use_backend("numpy"):
                 assert kernel_for(self._runner(edge_capacity=2)) is not None
-        assert (_bfs_state(backend="scalar", edge_capacity=2)
-                == _bfs_state(backend="numpy", edge_capacity=2))
+        assert (_forest_state(backend="scalar", edge_capacity=2)
+                == _forest_state(backend="numpy", edge_capacity=2))
 
     def test_kernel_capacity_breach_raises(self):
         """Kernel sends are checked against the edge capacity like scalar ones."""
@@ -147,27 +144,25 @@ class TestKernelGates:
     def test_heterogeneous_roster_gate(self):
         g = graphs.path_graph(6)
 
-        class Other(LabeledBFS):
+        class Other(BoruvkaNode):
             pass
 
-        algs = {u: _labeled(u) for u in g.nodes()}
+        algs = {u: BoruvkaNode(u, 6) for u in g.nodes()}
         if kernels.numpy_or_none() is not None:
             with use_backend("numpy"):  # control: the same roster, uniform
                 assert kernel_for(Runner(g, algs, Mode.CONGEST)) is not None
-        algs[0] = Other(0, 10 ** 6, source_label="c0")
+        algs[0] = Other(0, 6)
         with use_backend("numpy"):
             assert kernel_for(Runner(g, algs, Mode.CONGEST)) is None
 
 
 class TestKernelsEngage:
-    """Each kernel steps rounds of a catalog cell, so the parity suite
+    """The kernel steps rounds of a catalog cell, so the parity suite
     below compares a kernel path with the scalar one, not scalar twice."""
 
     @pytest.mark.parametrize("kernel, scenario, n", [
         (_BoruvkaKernel, "boruvka/er", 18),
-        (_LabeledBFSKernel, "labeled-bfs/grid", 18),
-        (_ConvergecastKernel, "sssp/er", 32),
-    ], ids=["boruvka", "labeled-bfs", "convergecast"])
+    ], ids=["boruvka"])
     def test_kernel_steps_a_round_of_the_cell(self, kernel, scenario, n,
                                               monkeypatch):
         if kernels.numpy_or_none() is None:
@@ -193,29 +188,28 @@ class TestKernelsEngage:
 def _script(r, index):
     """``(wake code, unicast?, broadcast?)`` of node ``index`` at round ``r``.
 
-    Rounds 0, 1, 4, 5 and 6/8 give every awake node one code (the next
-    round ``r + 1``, absolute, ``r + 1`` into an existing bucket, idle,
-    halt); round 3 mixes all of them.  The halting rounds broadcast, so a
-    node that failed to halt would hear them.  CONGEST wakes receivers on arrival, so its awake
-    sets differ from SLEEPING's; each mode still meets every kind.
+    Rounds 0, 1, 4 and 5/6/8 give every awake node one code (the next
+    round ``r + 1``, absolute, ``r + 1`` into an existing bucket, halt);
+    round 3 mixes all of them.  The halting rounds broadcast, so a node
+    that failed to halt would hear them.  CONGEST wakes receivers on
+    arrival, so its awake sets differ from SLEEPING's; each mode still
+    meets every kind.
     """
     if r == 0:
         return 1, False, True
     if r == 1:
         return 3, False, False
     if r == 3:
-        return (4, 5, WAKE_IDLE, WAKE_HALT, 8)[index % 5], True, False
+        return (4, 5, WAKE_HALT, 8)[index % 4], True, False
     if r == 4:
         return 5, False, False
-    if r in (6, 8):
-        return WAKE_HALT, False, True
-    return WAKE_IDLE, False, r == 5
+    return WAKE_HALT, False, r in (5, 6, 8)
 
 
 def _kind(r, codes):
     if len(set(codes)) > 1:
         return "mixed"
-    return {r + 1: "next", WAKE_IDLE: "idle", WAKE_HALT: "halt"}.get(codes[0], "absolute")
+    return {r + 1: "next", WAKE_HALT: "halt"}.get(codes[0], "absolute")
 
 
 class _ScriptKernel(BatchKernel):
@@ -261,9 +255,7 @@ class _Scripted(NodeAlgorithm):
             ctx.broadcast(("b", r, self.index))
         if code == WAKE_HALT:
             ctx.halt()
-        elif code == WAKE_IDLE:
-            ctx.idle()
-        elif code >= 0:
+        else:
             ctx.wake_at(code)
 
     @classmethod
@@ -296,7 +288,7 @@ class TestWakeCodeBooking:
         scalar_metrics, scalar_steps, scalar_kinds = self._run(mode, "scalar")
         kernel_metrics, kernel_steps, kinds = self._run(mode, "numpy")
         assert scalar_kinds == []
-        assert set(kinds) == {"next", "absolute", "idle", "halt", "mixed"}
+        assert set(kinds) == {"next", "absolute", "halt", "mixed"}
         assert kernel_metrics == scalar_metrics
         assert kernel_steps == scalar_steps
         if mode is Mode.SLEEPING:
@@ -317,7 +309,7 @@ class TestBackendParity:
     CATALOG = dict(scenarios=None, sizes=(12, 18), seeds=(0,), workers=1)
 
     def test_runner_state_and_metrics_identical(self):
-        assert _bfs_state(backend="scalar") == _bfs_state(backend="numpy")
+        assert _forest_state(backend="scalar") == _forest_state(backend="numpy")
 
     def test_full_catalog_stores_are_byte_identical(self, tmp_path):
         _, scalar = _sweep_store(tmp_path, "scalar", backend="scalar",
