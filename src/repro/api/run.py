@@ -15,9 +15,11 @@ entry all funnel into it.  It owns the orchestration policy:
   identical to an uninterrupted run (rows follow cross-product order
   either way), and cells stored under a *different* definition of the same
   scenario name (changed params/family/weights) are re-run, not reused;
-* **locality** — missing cells are grouped by graph-instance key so one
-  worker builds each graph once and serves every scenario over it from the
-  per-process cache (see :mod:`repro.sim.experiments`);
+* **locality** — missing cells are grouped by graph-instance key
+  (:meth:`~repro.sim.experiments.Scenario.instance_key`) so every scenario
+  over one graph runs on one instance; a parallel sweep builds each
+  group's graph once in the supervisor and sends it to the group's worker
+  as a shared-memory segment (see :mod:`repro.sim.shm`);
 * **streaming** — each finished cell is appended (and flushed) to the store
   and reported through the ``progress`` callback as it lands, so an
   interrupted sweep loses at most the in-flight cells;
@@ -46,6 +48,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+from ..sim import experiments
 from ..sim.kernels import current_backend, use_backend
 from .resultset import ResultSet, failure_record
 from .shard import shard_cells, shard_store_path
@@ -136,14 +139,12 @@ class _Worker:
     __slots__ = ("process", "tasks", "results", "group_id", "deadline")
 
     def __init__(self, context, spec: SweepSpec, with_metrics: bool):
-        from ..sim import experiments
-
         task_reader, self.tasks = context.Pipe(duplex=False)
         self.results, result_writer = context.Pipe(duplex=False)
         self.group_id: int | None = None
         self.deadline: float | None = None
         self.process = context.Process(
-            target=experiments._worker_loop,
+            target=_worker_loop,
             args=(task_reader, result_writer, spec, with_metrics),
             daemon=True,
         )
@@ -152,10 +153,10 @@ class _Worker:
         task_reader.close()
         result_writer.close()
 
-    def dispatch(self, group_id: int, group: list, timeout: float | None) -> None:
+    def dispatch(self, group_id: int, task: tuple, timeout: float | None) -> None:
         self.group_id = group_id
         self.deadline = time.monotonic() + timeout if timeout else None
-        self.tasks.send(group)
+        self.tasks.send(task)
 
     def shutdown(self) -> None:
         """Best-effort teardown; never raises (runs on interrupt paths)."""
@@ -175,8 +176,56 @@ class _Worker:
                 pass
 
 
+def _worker_loop(task_pipe, result_pipe, spec: SweepSpec, with_metrics: bool) -> None:
+    """Worker side of :class:`_Worker`: serve dispatched groups until told to stop.
+
+    The supervisor sends ``(segment, group)`` tasks down this worker's
+    private task pipe (``None`` or EOF means shut down).  ``segment`` names
+    the shared-memory segment holding the group's graph, or is ``None``
+    when the supervisor published none; the worker attaches it and runs the
+    whole group on that graph, and a segment it cannot attach leaves the
+    cells to build the graph locally.  Each group is answered on the
+    private result pipe with ``("ok", triples)`` or ``("error", message)``
+    (see :func:`repro.sim.experiments._run_cell_group`).  ``spec`` is the
+    sweep's validated :class:`SweepSpec`; the backend request is inherited,
+    since the supervisor forks inside :func:`~repro.sim.kernels.use_backend`.
+
+    Driver exceptions are stringified before crossing the pipe, so an
+    unpicklable exception object can never turn a deterministic failure
+    into a hung parent.  A worker that dies mid-group (crash, OOM kill,
+    ``os._exit``) simply never answers: the supervisor notices via the
+    process sentinel and re-dispatches the group.  Signals
+    (``KeyboardInterrupt``/``SystemExit``) propagate and kill the worker
+    for the same reason: an interrupt is a death, not a driver bug, and
+    reporting it as ``"error"`` would abort the whole sweep instead of
+    letting the supervisor's fault path decide.
+    """
+    from ..sim import shm
+
+    while True:
+        try:
+            task = task_pipe.recv()
+        except EOFError:
+            return  # the supervisor is gone; nothing left to serve
+        if task is None:
+            return
+        segment, group = task
+        try:
+            graph = None if segment is None else shm.attach_graph(segment)
+            # Looked up at call time, not bound at import: perfbench's
+            # tracer patches ``_run_cell_group`` and ``_run_cell`` on the
+            # module before the fork.
+            result = experiments._run_cell_group(group, spec, with_metrics, graph)
+        except (KeyboardInterrupt, SystemExit):
+            raise  # die silently; the supervisor sees a dead worker
+        except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data
+            result_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
+        else:
+            result_pipe.send(("ok", result))
+
+
 def _run_groups_supervised(
-    group_list: list[list[tuple[int, str, int, int]]],
+    tasks: list[tuple[str | None, list[tuple[int, str, int, int]]]],
     spec: SweepSpec,
     *,
     context,
@@ -184,10 +233,10 @@ def _run_groups_supervised(
     land: Callable[[int, dict, dict | None], None],
     fail: Callable[[list, int, str], None],
 ) -> None:
-    """Dispatch locality groups to supervised fork workers until all settle.
+    """Dispatch ``(segment, group)`` tasks to supervised fork workers.
 
-    The validated ``spec`` sets the policy: up to ``spec.workers`` workers,
-    each running its groups under the spec's overrides and backend.  Each
+    The validated ``spec`` sets the policy: up to ``spec.workers`` workers
+    (see :func:`_worker_loop`), each holding one task at a time.  Each
     group either lands its cells (``land`` per cell), or — after its
     worker died/stalled ``1 + spec.max_retries`` times — is handed to
     ``fail``.  A worker that *reports* an exception (a deterministic
@@ -198,11 +247,9 @@ def _run_groups_supervised(
     and deaths wake the supervisor immediately — a dead worker can never
     hang the sweep.
     """
-    from ..sim.experiments import SweepError
-
-    pending = list(range(len(group_list)))  # LIFO: retried groups go first
-    failures = [0] * len(group_list)
-    open_groups = len(group_list)
+    pending = list(range(len(tasks)))  # LIFO: retried groups go first
+    failures = [0] * len(tasks)
+    open_groups = len(tasks)
     pool: list[_Worker] = []
 
     def crashed(group_id: int, cause: str) -> int:
@@ -212,7 +259,7 @@ def _run_groups_supervised(
             pending.append(group_id)  # retry on a fresh worker
             return 0
         fail(
-            group_list[group_id],
+            tasks[group_id][1],
             failures[group_id],
             f"{cause} after {failures[group_id]} attempt(s)",
         )
@@ -236,7 +283,7 @@ def _run_groups_supervised(
                 if worker.group_id is None and pending and worker.process.is_alive():
                     group_id = pending.pop()
                     try:
-                        worker.dispatch(group_id, group_list[group_id], spec.task_timeout)
+                        worker.dispatch(group_id, tasks[group_id], spec.task_timeout)
                     except Exception:
                         # Died between the liveness check and the send: the
                         # group was never attempted, but bounded accounting
@@ -283,7 +330,7 @@ def _run_groups_supervised(
                         worker.group_id = None
                         worker.deadline = None
                         if status == "error":
-                            raise SweepError(payload)
+                            raise experiments.SweepError(payload)
                         for index, row, metrics in payload:
                             land(index, row, metrics)
                         open_groups -= 1
@@ -311,6 +358,31 @@ def _run_groups_supervised(
                     pass
         for worker in pool:
             worker.shutdown()
+
+
+def _publish(group: list[tuple[int, str, int, int]], handles: list) -> str | None:
+    """Build ``group``'s graph and publish it as a shared-memory segment.
+
+    Returns the segment's name for the group's task, after adding its owner
+    handle to ``handles`` (the caller unlinks them all on every exit path),
+    or ``None`` when the plane cannot carry the graph — no shared memory on
+    this platform, unpicklable labels, a full ``/dev/shm`` — and the
+    worker builds it locally instead.  The graph is built afresh, not taken
+    from this process's cache, so the forked workers inherit no graph.
+    """
+    from ..sim import shm
+
+    if not shm.available():
+        return None
+    _, name, n, seed = group[0]
+    try:
+        handle = shm.publish_graph(experiments.get_scenario(name).build_graph(n, seed))
+    except Exception:
+        return None
+    if handle is None:
+        return None
+    handles.append(handle)
+    return handle.name
 
 
 def run_sweep_spec(
@@ -342,8 +414,6 @@ def run_sweep_spec(
     always flushed and closed — on success, driver errors, and Ctrl-C
     alike.
     """
-    from ..sim import experiments
-
     spec = spec.validate()
     names = (
         list(spec.scenarios) if spec.scenarios is not None
@@ -456,71 +526,50 @@ def run_sweep_spec(
                 progress(completed, total, record)
 
     # Group pending cells by graph-instance key (first-seen order) so each
-    # group lands on one worker and hits its per-process graph cache.
+    # group runs on one graph instance.
     groups: dict[tuple, list[tuple[int, str, int, int]]] = {}
     for index, name, n, seed in pending:
-        key = experiments._instance_key(experiments.get_scenario(name), n, seed)
+        key = experiments.get_scenario(name).instance_key(n, seed)
         groups.setdefault(key, []).append((index, name, n, seed))
     group_list = list(groups.values())
 
-    parallel = spec.workers > 1 and len(group_list) > 1
     context = None
-    if parallel:
+    if spec.workers > 1 and len(group_list) > 1:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
-            context = None  # no fork on this platform: run sequentially
-    # Shared-memory graph plane: build each group's graph once in the
-    # supervisor and publish its CSR as a shared-memory segment.  The
-    # attach map is set before any fork so workers inherit it; segments
-    # are owned by this process only and unlinked in the finally below —
-    # on success, driver errors, worker crashes, and Ctrl-C alike.
+            pass  # no fork on this platform: run sequentially
     shm_handles: list = []
-    if context is not None:
-        # Resolve the backend before any fork, so workers inherit the
-        # imported numpy module instead of each importing it.
-        with use_backend(spec.backend):
-            current_backend()
-        from ..sim import shm as shm_plane
-
-        if shm_plane.available():
-            for key, group in groups.items():
-                _, name, n, seed = group[0]
-                try:
-                    graph = experiments._cached_graph(
-                        experiments.get_scenario(name), n, seed
-                    )
-                    handle = shm_plane.publish_graph(graph)
-                except Exception:
-                    handle = None  # unpicklable labels, full /dev/shm, ...
-                if handle is not None:
-                    shm_handles.append(handle)
-                    experiments._SHM_ATTACH[key] = handle.name
     # try/finally, not context managers alone: the store must flush and
     # close on *every* exit — success, a driver exception, or Ctrl-C —
-    # or buffered rows of an interrupted sweep would be lost.
+    # or buffered rows of an interrupted sweep would be lost, and every
+    # published segment must be unlinked.
     try:
-        if context is not None:
-            _run_groups_supervised(
-                group_list,
-                spec,
-                context=context,
-                with_metrics=with_metrics,
-                land=land,
-                fail=fail,
-            )
-        else:
+        if group_list:
             with use_backend(spec.backend):
-                for group in group_list:
-                    for index, row, metrics in experiments._run_cell_group(
-                        group, spec, with_metrics
-                    ):
-                        land(index, row, metrics)
+                # Resolve the backend before any fork, so workers inherit
+                # the request and the imported numpy module instead of
+                # each importing it.
+                current_backend()
+                if context is None:
+                    for group in group_list:
+                        for index, row, metrics in experiments._run_cell_group(
+                            group, spec, with_metrics
+                        ):
+                            land(index, row, metrics)
+                else:
+                    tasks = [(_publish(group, shm_handles), group) for group in group_list]
+                    _run_groups_supervised(
+                        tasks,
+                        spec,
+                        context=context,
+                        with_metrics=with_metrics,
+                        land=land,
+                        fail=fail,
+                    )
     finally:
-        if shm_handles:
-            experiments._SHM_ATTACH.clear()
-            for handle in shm_handles:
-                handle.unlink()
+        for handle in shm_handles:
+            handle.unlink()
         store.close()
     return rows
 

@@ -102,7 +102,7 @@ def shard_cells(spec: SweepSpec, scenario_names: list[str]) -> list[tuple]:
     if spec.shard_count is None:
         return cells
     keys = [
-        experiments._instance_key(experiments.get_scenario(name), n, seed)
+        experiments.get_scenario(name).instance_key(n, seed)
         for name, n, seed in cells
     ]
     return partition_cells(cells, keys, spec.shard_count)[spec.shard_index - 1]

@@ -130,10 +130,15 @@ class BoruvkaNode(NodeAlgorithm):
         self._decision = "pending"
         self._sent_join_to = None
 
-    def _try_send_report(self, ctx: Context) -> None:
-        """Convergecast step: fold and forward once all children reported."""
+    def _fold_report(self) -> tuple | None:
+        """Convergecast step: fold the candidates once all children reported.
+
+        A root turns the fold into its fragment's decision.  Any other node
+        gets the ``("report", best)`` payload for its parent; the caller
+        sends it.  ``None`` when nothing goes up.
+        """
         if self._sent_report or self._report_count < len(self.children):
-            return
+            return None
         candidates = [c for c in self._reports if c is not None]
         own = self._my_candidate()
         if own is not None:
@@ -142,8 +147,8 @@ class BoruvkaNode(NodeAlgorithm):
         self._sent_report = True
         if self.parent is None:
             self._decision = None if best is None else (best[2], best[3])
-        else:
-            ctx.send(self.parent, ("report", best))
+            return None
+        return ("report", best)
 
     def _broadcast_decision(self, ctx: Context) -> None:
         for child in self._kids():
@@ -217,7 +222,9 @@ class BoruvkaNode(NodeAlgorithm):
                 self._edge_key_of = {v: _edge_key(node, v) for v in ctx.neighbors}
             ctx.broadcast(("hello", self.fragment, _fragment_key(self.fragment)))
         elif 2 * seg <= offset < 3 * seg:
-            self._try_send_report(ctx)
+            report = self._fold_report()
+            if report is not None:
+                ctx.send(self.parent, report)
         elif offset == 3 * seg and self.parent is None:
             if self._decision is None:
                 self.complete = True
@@ -455,20 +462,10 @@ class _BoruvkaKernel(BatchKernel):
             codes = []
             for i in awake:
                 alg = algorithms[i]
-                if not alg._sent_report and alg._report_count >= len(alg.children):
-                    candidates = [c for c in alg._reports if c is not None]
-                    own = alg._my_candidate()
-                    if own is not None:
-                        candidates.append(own)
-                    best = (
-                        min(candidates, key=lambda c: c[:2]) if candidates else None
-                    )
-                    alg._sent_report = True
-                    if alg.parent is None:
-                        alg._decision = None if best is None else (best[2], best[3])
-                    else:
-                        out_ports.append(self._ports[i][alg.parent][0])
-                        out_payloads.append(("report", best))
+                report = alg._fold_report()
+                if report is not None:
+                    out_ports.append(self._ports[i][alg.parent][0])
+                    out_payloads.append(report)
                 codes.append(root_wake if alg.parent is None else wake)
             return codes
 
@@ -491,20 +488,10 @@ class _BoruvkaKernel(BatchKernel):
                 for payload in box.payloads:
                     alg._reports.append(payload[1])
                     alg._report_count += 1
-                if not alg._sent_report and alg._report_count >= len(alg.children):
-                    candidates = [c for c in alg._reports if c is not None]
-                    own = alg._my_candidate()
-                    if own is not None:
-                        candidates.append(own)
-                    best = (
-                        min(candidates, key=lambda c: c[:2]) if candidates else None
-                    )
-                    alg._sent_report = True
-                    if alg.parent is None:
-                        alg._decision = None if best is None else (best[2], best[3])
-                    else:
-                        out_ports.append(self._ports[i][alg.parent][0])
-                        out_payloads.append(("report", best))
+                report = alg._fold_report()
+                if report is not None:
+                    out_ports.append(self._ports[i][alg.parent][0])
+                    out_payloads.append(report)
                 codes.append(root_wake if alg.parent is None else wake)
             return codes
 

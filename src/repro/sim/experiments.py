@@ -38,13 +38,15 @@ are visible to them.  On platforms without ``fork`` the sweep silently runs
 sequentially — same rows, just slower.
 
 Graph caching: scenario cells that share a ``(family, max_weight, n, seed)``
-instance — e.g. ``sssp/er`` and ``bellman-ford/er`` at the same size and
-seed — reuse one graph object per worker instead of regenerating it, which
-also carries the frozen :class:`~repro.graphs.IndexedGraph` view across
-cells.  The sweep executor groups the task list by instance key so each
-group lands on one worker (maximizing cache hits), then restores
-cross-product row order before returning — the tidy table is bit-identical
-at any worker count, cache hits or not.  Algorithms must treat graphs as
+instance (:meth:`Scenario.instance_key`) — e.g. ``sssp/er`` and
+``bellman-ford/er`` at the same size and seed — reuse one graph object per
+process instead of regenerating it, which also carries the frozen
+:class:`~repro.graphs.IndexedGraph` view across cells.  The sweep executor
+(:mod:`repro.api.run`) groups the task list by instance key so each group
+runs on one graph — a parallel worker gets it from the group's
+shared-memory segment — then restores cross-product row order before
+returning: the tidy table is bit-identical at any worker count, cache hits
+or not.  Algorithms must treat graphs as
 read-only (the library-wide append-only convention);
 :func:`clear_graph_cache` drops the cache (mostly for tests).
 """
@@ -60,7 +62,7 @@ from ..api.drivers import BUILTIN_ALGORITHMS, DriverError  # noqa: F401 (registe
 from ..graphs import generators
 from .events import canonical_latency, choose_engine, simulation_engine
 from .faults import canonical_fault, parse_fault_model
-from .kernels import current_backend, set_backend
+from .kernels import current_backend
 from .metrics import Metrics
 
 __all__ = [
@@ -154,6 +156,15 @@ class Scenario:
 
     def build_graph(self, n: int, seed: int):
         return generators.make_family(self.family, n, self.max_weight, seed=seed)
+
+    def instance_key(self, n: int, seed: int) -> tuple:
+        """The graph instance a ``(size, seed)`` cell runs on.
+
+        Scenarios that share a family and ``max_weight`` share instances,
+        so this key groups cells for the graph cache, the sweep's locality
+        groups and its shards.
+        """
+        return (self.family, self.max_weight, n, seed)
 
 
 _SCENARIOS: dict[str, Scenario] = {}
@@ -380,34 +391,17 @@ for _scenario in (
 _GRAPH_CACHE: dict[tuple, object] = {}
 _GRAPH_CACHE_CAP = 64
 
-#: Shared-memory attach map ``instance_key -> segment name``, set by the
-#: sweep supervisor *before* forking so workers inherit it.  A worker's
-#: :func:`_cached_graph` attaches the published CSR instead of
-#: regenerating the instance; any attach failure falls back to the local
-#: build (the shm plane is an optimization, never a dependency).
-_SHM_ATTACH: dict[tuple, str] = {}
-
 
 def clear_graph_cache() -> None:
     """Drop the per-process graph cache (test hook)."""
     _GRAPH_CACHE.clear()
 
 
-def _instance_key(scenario: Scenario, n: int, seed: int) -> tuple:
-    return (scenario.family, scenario.max_weight, n, seed)
-
-
 def _cached_graph(scenario: Scenario, n: int, seed: int):
-    key = _instance_key(scenario, n, seed)
+    key = scenario.instance_key(n, seed)
     graph = _GRAPH_CACHE.get(key)
     if graph is None:
-        segment = _SHM_ATTACH.get(key)
-        if segment is not None:
-            from . import shm
-
-            graph = shm.attach_graph(segment)
-        if graph is None:
-            graph = scenario.build_graph(n, seed)
+        graph = scenario.build_graph(n, seed)
         if len(_GRAPH_CACHE) >= _GRAPH_CACHE_CAP:
             _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
         _GRAPH_CACHE[key] = graph
@@ -421,6 +415,7 @@ def _run_cell(
     engine: str | None = None,
     latency_model: str | None = None,
     fault_model: str | None = None,
+    graph=None,
 ) -> tuple[dict, Metrics]:
     """Execute one cell; return its tidy row and the full metrics object.
 
@@ -443,6 +438,10 @@ def _run_cell(
     run was cut short by a stopping bound append
     ``stop_reason``/``virtual_time``.  Fault-free unbounded rows carry
     none of these, keeping them byte-identical to pre-fault stores.
+
+    ``graph`` is the cell's instance when the caller already holds it (a
+    sweep worker's attached shared-memory graph); otherwise the cell takes
+    it from the per-process cache.
     """
     scenario = get_scenario(name)
     effective_latency = (
@@ -460,9 +459,10 @@ def _run_cell(
         # configuration error, reported like any other bad sweep input.
         raise SweepError(f"cell {name!r}: {exc}") from exc
     # The first backend resolution imports numpy: do it before the graph
-    # attach and the driver run, never inside them.
+    # build and the driver run, never inside them.
     current_backend()
-    graph = _cached_graph(scenario, n, seed)
+    if graph is None:
+        graph = _cached_graph(scenario, n, seed)
     metrics = Metrics()
     driver = get_algorithm_spec(scenario.algorithm).resolve()
     try:
@@ -554,7 +554,7 @@ def run_scenario(
 
 
 def _run_cell_group(
-    group: list[tuple[int, str, int, int]], spec, with_metrics: bool
+    group: list[tuple[int, str, int, int]], spec, with_metrics: bool, graph=None
 ) -> list[tuple[int, dict, dict | None]]:
     """Run one locality group of ``(index, name, n, seed)`` tasks in order.
 
@@ -565,65 +565,15 @@ def _run_cell_group(
     O(E log E) serialization and keeps the worker pipes lean.  The
     validated :class:`~repro.api.SweepSpec` ``spec`` carries the
     sweep-level engine, latency and fault overrides, applied uniformly to
-    every cell of the group.
+    every cell of the group.  Every cell of a group runs on one graph
+    instance; ``graph``, when given, is that instance (see
+    :func:`_run_cell`).
     """
     out = []
     for index, name, n, seed in group:
         row, metrics = _run_cell(
             name, n, seed, engine=spec.engine, latency_model=spec.latency_model,
-            fault_model=spec.fault_model,
+            fault_model=spec.fault_model, graph=graph,
         )
         out.append((index, row, metrics.to_dict() if with_metrics else None))
     return out
-
-
-def _worker_loop(task_pipe, result_pipe, spec, with_metrics: bool) -> None:
-    """Supervised-executor worker: serve dispatched cell groups until told to stop.
-
-    The group-level task protocol of :func:`repro.api.run_sweep_spec`'s
-    supervisor: the parent sends whole locality groups down this worker's
-    private task pipe (``None`` or EOF means shut down) and the worker
-    answers each on its private result pipe with ``("ok", triples)`` or
-    ``("error", message)``.  Both are one-writer/one-reader
-    ``multiprocessing.Pipe(duplex=False)`` connections.  ``spec`` is the
-    sweep's validated :class:`~repro.api.SweepSpec`: its overrides go to
-    every cell (see :func:`_run_cell_group`) and its ``backend`` to the
-    worker.  Driver exceptions are stringified before crossing the pipe,
-    so an unpicklable exception object can never turn a deterministic failure into a hung parent.  A
-    worker that dies mid-group (crash, OOM kill, ``os._exit``) simply
-    never answers — the supervisor notices via the process sentinel and
-    re-dispatches the group.  Signals
-    (``KeyboardInterrupt``/``SystemExit``) propagate and kill the worker
-    for the same reason: an interrupt is a death, not a driver bug, and
-    reporting it as ``"error"`` would abort the whole sweep instead of
-    letting the supervisor's fault path decide.
-    """
-    # The backend request is process-wide worker state, set once before
-    # any cell runs (the knob is provenance-only: rows are byte-identical
-    # either way, so a retried group re-run under a fresh worker with the
-    # same request cannot diverge from the first attempt).
-    set_backend(spec.backend)
-    # A forked worker inherits the supervisor's graph cache — including
-    # the instances the supervisor built only to publish their shared-
-    # memory segments.  Drop them so this worker unpacks its graphs from
-    # the shared segments, as a worker that inherited none does, instead
-    # of touching the inherited copies (reference counts copy their pages
-    # on write).
-    if _SHM_ATTACH:
-        _GRAPH_CACHE.clear()
-    while True:
-        try:
-            group = task_pipe.recv()
-        except EOFError:
-            return  # the supervisor is gone; nothing left to serve
-        if group is None:
-            return
-        try:
-            result = _run_cell_group(group, spec, with_metrics)
-        except (KeyboardInterrupt, SystemExit):
-            raise  # die silently; the supervisor sees a dead worker
-        except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data
-            result_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
-        else:
-            result_pipe.send(("ok", result))
-

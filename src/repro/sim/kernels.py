@@ -197,8 +197,9 @@ def kernel_for(runner) -> BatchKernel | None:
     Centralizes every dispatch gate so both engines agree:
 
     * the active backend enables kernels (``scalar`` disables them);
-    * no fault plane (fault draws happen per delivered message; see
-      :attr:`repro.sim.faults.FaultModel.batch_safe`);
+    * no fault plane: fault draws are keyed per delivered message in
+      delivery order, and crash restarts rebind algorithm instances
+      mid-run, both interleaved with per-node stepping;
     * a homogeneous algorithm roster whose class opts in via
       ``batch_kernel`` (which may itself return ``None``).
 
@@ -209,8 +210,7 @@ def kernel_for(runner) -> BatchKernel | None:
     """
     if current_backend() == "scalar":
         return None
-    plane = runner.faults
-    if plane is not None and not getattr(plane, "batch_safe", False):
+    if runner.faults is not None:
         return None
     algorithms = runner._algorithms_by_index
     if not algorithms:

@@ -4,10 +4,11 @@ A sweep's locality groups all share graph instances keyed by
 ``(family, max_weight, n, seed)``.  Without this module every worker
 regenerates its group's graph from the family recipe; with it, the
 supervisor builds each graph once, publishes its CSR columns into one
-``multiprocessing.shared_memory`` segment, and forked workers *attach* —
-the OS maps the same physical pages into the worker, and the worker
-unpacks the columns with :func:`struct.unpack_from`: no pickling of the
-adjacency and no regeneration.  The attach rebuilds the label-space
+``multiprocessing.shared_memory`` segment, and sends its name with the
+group; the forked worker *attaches* it — the OS maps the same physical
+pages into the worker, and the worker unpacks the columns with
+:func:`struct.unpack_from`: no pickling of the adjacency and no
+regeneration.  The attach rebuilds the label-space
 :class:`Graph` (drivers iterate neighbors by label) and seeds its cached
 :class:`~repro.graphs.indexed.IndexedGraph` via
 :meth:`~repro.graphs.indexed.IndexedGraph.from_csr` with the unpacked
@@ -171,9 +172,9 @@ def attach_graph(name: str):
             return None
         # SharedMemory registers with the resource tracker on *attach* as
         # well as create (CPython gh-82300).  The plane only runs under
-        # the fork start method — the attach map itself is inherited via
-        # fork — so this worker shares the supervisor's tracker daemon
-        # and the attach-side register is an idempotent set-add there,
+        # the fork start method, so this worker shares the supervisor's
+        # tracker daemon and the attach-side register is an idempotent
+        # set-add there,
         # not a second owner.  Do NOT unregister here: the daemon holds
         # one entry per name, and unregistering from N workers would
         # double-remove it and strip the supervisor-SIGKILL backstop.

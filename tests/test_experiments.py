@@ -1,5 +1,7 @@
 """The scenario registry, spec-driven sweep executor, and ``sweep`` CLI."""
 
+import json
+import os
 import random
 
 import pytest
@@ -101,6 +103,33 @@ class TestSweepDeterminism:
         sequential = sweep(scenarios, sizes=sizes, seeds=seeds, workers=1)
         parallel = sweep(scenarios, sizes=sizes, seeds=seeds, workers=3)
         assert sequential == parallel
+
+    def test_workers_run_cells_through_the_patchable_module_names(self, tmp_path, monkeypatch):
+        # perfbench's cell clock patches these two module attributes in the
+        # parent before the fork.  A worker that bound either name at import
+        # would bypass the wrappers and leave the sweep's cell times empty.
+        from repro.sim import experiments
+
+        def marking(kind, run):
+            def wrapper(*args, **kwargs):
+                cells = [cell[1:] for cell in args[0]] if kind == "group" else [args[:3]]
+                with open(tmp_path / f"{kind}-{os.getpid()}", "a") as out:
+                    out.write(json.dumps(cells) + "\n")
+                return run(*args, **kwargs)
+
+            return wrapper
+
+        for kind, name in (("group", "_run_cell_group"), ("cell", "_run_cell")):
+            monkeypatch.setattr(experiments, name, marking(kind, getattr(experiments, name)))
+        scenarios, sizes, seeds = ["bellman-ford/er", "dijkstra/er"], (9, 13), (0, 1)
+        sweep(scenarios, sizes=sizes, seeds=seeds, workers=2)
+        expected = sorted([name, n, seed] for name in scenarios for n in sizes for seed in seeds)
+        for kind in ("group", "cell"):
+            paths = list(tmp_path.glob(f"{kind}-*"))
+            assert paths and tmp_path / f"{kind}-{os.getpid()}" not in paths
+            seen = [cell for path in paths for line in path.read_text().splitlines()
+                    for cell in json.loads(line)]
+            assert sorted(seen) == expected, kind
 
     def test_rows_follow_task_order(self):
         rows = sweep(["bfs/grid"], sizes=(9, 16), seeds=(0, 1))

@@ -106,6 +106,13 @@ class TestKernelGates:
         with use_backend("numpy"):
             assert kernel_for(self._runner()) is not None
 
+    def test_fault_plane_closes_the_gate(self):
+        if kernels.numpy_or_none() is None:
+            pytest.skip("no numpy: backend resolves to scalar")
+        with use_backend("numpy"):
+            assert kernel_for(self._runner()) is not None  # control: no plane
+            assert kernel_for(self._runner(faults="drop:0.1")) is None
+
     def test_edge_capacity_is_not_a_gate(self):
         """A kernel runs at ``edge_capacity > 1`` and keeps backend parity."""
         if kernels.numpy_or_none() is not None:

@@ -142,14 +142,14 @@ class TestPartition:
     def test_partition_keeps_instance_groups_whole(self):
         # bellman-ford/er and sssp/er at the same (n, seed) share one graph
         # instance; splitting them across shards would rebuild it twice.
-        from repro.sim.experiments import _instance_key, get_scenario
+        from repro.sim.experiments import get_scenario
 
         names = list(SCENARIOS)
         for spec in SPEC.shard(3):
             cells = shard_cells(spec, names)
-            keys = {_instance_key(get_scenario(name), n, seed) for name, n, seed in cells}
+            keys = {get_scenario(name).instance_key(n, seed) for name, n, seed in cells}
             for name, n, seed in SPEC.cells(names):
-                if _instance_key(get_scenario(name), n, seed) in keys:
+                if get_scenario(name).instance_key(n, seed) in keys:
                     assert (name, n, seed) in cells
 
     def test_partition_is_deterministic(self):

@@ -74,7 +74,6 @@ def no_leaks():
     """Assert the test leaves /dev/shm and the publish registry clean."""
     before = _segments()
     yield
-    experiments._SHM_ATTACH.clear()
     assert shm.active_segments() == []
     assert _segments() - before == set()
 
@@ -130,17 +129,14 @@ class TestRoundTrip:
     def test_attach_missing_segment_returns_none(self, no_leaks):
         assert shm.attach_graph("psm_definitely_not_there") is None
 
-    def test_cached_graph_falls_back_when_segment_is_gone(self, no_leaks):
-        scenario = experiments.get_scenario("sssp/path")
-        key = experiments._instance_key(scenario, 9, 0)
+    def test_cached_graph_falls_back_when_segment_is_gone(self, no_leaks, monkeypatch):
+        # A worker that cannot attach its group's segment builds the graph
+        # locally; the rows cannot tell.  Workers fork after the patch.
+        spec = dict(TestSweepCleanup.SPEC)
+        serial = run_sweep_spec(SweepSpec(**spec, workers=1))
         experiments.clear_graph_cache()
-        experiments._SHM_ATTACH[key] = "psm_definitely_not_there"
-        try:
-            graph = experiments._cached_graph(scenario, 9, 0)
-        finally:
-            experiments._SHM_ATTACH.clear()
-            experiments.clear_graph_cache()
-        assert graph.num_nodes == 9  # built locally, attach was a no-op
+        monkeypatch.setattr(shm, "attach_graph", lambda name: None)
+        assert run_sweep_spec(SweepSpec(**spec, workers=3)) == serial
 
 
 class TestSweepCleanup:

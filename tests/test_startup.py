@@ -124,13 +124,13 @@ def test_sweep_supervisor_imports_numpy_before_forking_its_workers(backend, tmp_
     out = run_python(
         "import os, sys\n"
         "from repro.api import SweepSpec, run_sweep_spec\n"
-        "from repro.sim import experiments\n"
-        "loop = experiments._worker_loop\n"
+        "from repro.api import run\n"
+        "loop = run._worker_loop\n"
         "def recording_loop(*args):\n"
         f"    with open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w') as f:\n"
         "        f.write(str('numpy' in sys.modules))\n"
         "    loop(*args)\n"
-        "experiments._worker_loop = recording_loop\n"
+        "run._worker_loop = recording_loop\n"
         "assert 'numpy' not in sys.modules\n"
         "rows = run_sweep_spec(SweepSpec(scenarios=('bfs/grid', 'sssp/er'),\n"
         f"    sizes=(12, 16), seeds=(0,), workers=2, backend={backend!r}))\n"
