@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["compile_report", "write_report"]
+__all__ = ["compile_report"]
 
 #: Canonical experiment order (E1..E13 with sub-experiments).
 _ORDER = [
@@ -52,10 +52,3 @@ def compile_report(results_dir: str | Path) -> str:
         sections.append(known[name].read_text().rstrip())
         sections.append("```\n")
     return "\n".join(sections)
-
-
-def write_report(results_dir: str | Path, output: str | Path) -> Path:
-    """Compile and write the report; returns the output path."""
-    out = Path(output)
-    out.write_text(compile_report(results_dir))
-    return out

@@ -184,9 +184,11 @@ def _worker_loop(task_pipe, result_pipe, spec: SweepSpec, with_metrics: bool) ->
     the shared-memory segment holding the group's graph, or is ``None``
     when the supervisor published none; the worker attaches it and runs the
     whole group on that graph, and a segment it cannot attach leaves the
-    cells to build the graph locally.  Each group is answered on the
-    private result pipe with ``("ok", triples)`` or ``("error", message)``
-    (see :func:`repro.sim.experiments._run_cell_group`).  ``spec`` is the
+    group to build the graph locally.  The graph is dropped with the
+    group: a worker keeps no graph and no mapped segment between groups.
+    Each group is answered on the private result pipe with ``("ok",
+    triples)`` or ``("error", message)`` (see
+    :func:`repro.sim.experiments._run_cell_group`).  ``spec`` is the
     sweep's validated :class:`SweepSpec`; the backend request is inherited,
     since the supervisor forks inside :func:`~repro.sim.kernels.use_backend`.
 
@@ -367,8 +369,8 @@ def _publish(group: list[tuple[int, str, int, int]], handles: list) -> str | Non
     handle to ``handles`` (the caller unlinks them all on every exit path),
     or ``None`` when the plane cannot carry the graph — no shared memory on
     this platform, unpicklable labels, a full ``/dev/shm`` — and the
-    worker builds it locally instead.  The graph is built afresh, not taken
-    from this process's cache, so the forked workers inherit no graph.
+    worker builds it locally instead.  The supervisor keeps only the
+    segment, not the graph, so the forked workers inherit no graph.
     """
     from ..sim import shm
 

@@ -2,12 +2,13 @@
 
 A *shard* is one of ``k`` disjoint sub-jobs of a :class:`~repro.api.SweepSpec`:
 the cell cross product is grouped by graph-instance key (the same locality
-grouping the executor uses for worker dispatch, so a shard never splits a
-cached graph instance across machines) and the groups are dealt round-robin,
-in first-seen cross-product order, to the ``k`` shards.  The partition is a
-pure function of the spec and the scenario registry — every participant
-computes the same assignment independently, which is what lets ``k``
-machines or CI jobs each run ``--shard i/k`` with no coordinator.
+grouping the executor uses for worker dispatch, so the cells that run on
+one graph instance never split across machines) and the groups are dealt
+round-robin, in first-seen cross-product order, to the ``k`` shards.  The
+partition is a pure function of the spec and the scenario registry —
+every participant computes the same assignment independently, which is
+what lets ``k`` machines or CI jobs each run ``--shard i/k`` with no
+coordinator.
 
 Each shard streams its rows to its own derived store,
 ``<output>.shard-<i>-of-<k>.jsonl``, so concurrent shards never contend on

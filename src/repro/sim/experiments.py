@@ -15,8 +15,8 @@ data:
   parameter schema — the built-ins live in :mod:`repro.api.drivers`, and
   any other module registers its own with
   :func:`repro.api.register_algorithm_spec` before the sweep starts;
-* :func:`run_scenario` executes one *(scenario, size, seed)* cell — with a
-  per-process graph-instance cache — and returns its tidy row.
+* :func:`run_scenario` executes one *(scenario, size, seed)* cell on a
+  freshly built graph instance and returns its tidy row.
 
 Orchestration lives one layer up, in :mod:`repro.api`: build a
 :class:`~repro.api.SweepSpec` and hand it to
@@ -37,18 +37,17 @@ time (including any registered by your own modules before the sweep starts)
 are visible to them.  On platforms without ``fork`` the sweep silently runs
 sequentially — same rows, just slower.
 
-Graph caching: scenario cells that share a ``(family, max_weight, n, seed)``
-instance (:meth:`Scenario.instance_key`) — e.g. ``sssp/er`` and
-``bellman-ford/er`` at the same size and seed — reuse one graph object per
-process instead of regenerating it, which also carries the frozen
-:class:`~repro.graphs.IndexedGraph` view across cells.  The sweep executor
-(:mod:`repro.api.run`) groups the task list by instance key so each group
-runs on one graph — a parallel worker gets it from the group's
-shared-memory segment — then restores cross-product row order before
-returning: the tidy table is bit-identical at any worker count, cache hits
-or not.  Algorithms must treat graphs as
-read-only (the library-wide append-only convention);
-:func:`clear_graph_cache` drops the cache (mostly for tests).
+Graph ownership: scenario cells that share a ``(family, max_weight, n,
+seed)`` instance (:meth:`Scenario.instance_key`) — e.g. ``sssp/er`` and
+``bellman-ford/er`` at the same size and seed — form one locality group,
+and the sweep executor (:mod:`repro.api.run`) runs each group on one graph
+object, which also carries the frozen :class:`~repro.graphs.IndexedGraph`
+view across its cells.  The group builds that graph once (a parallel
+worker attaches it from the group's shared-memory segment instead) and
+drops it when the group ends; no module-level map keeps a graph alive.
+The executor then restores cross-product row order before returning: the
+tidy table is bit-identical at any worker count.  Algorithms must treat
+graphs as read-only (the library-wide append-only convention).
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ class Scenario:
         """The graph instance a ``(size, seed)`` cell runs on.
 
         Scenarios that share a family and ``max_weight`` share instances,
-        so this key groups cells for the graph cache, the sweep's locality
-        groups and its shards.
+        so this key groups cells into the sweep's locality groups, each
+        of which runs on one graph, and deals those groups to shards.
         """
         return (self.family, self.max_weight, n, seed)
 
@@ -385,27 +384,11 @@ for _scenario in (
 # ----------------------------------------------------------------------
 # per-cell execution (the worker-side engine)
 # ----------------------------------------------------------------------
-#: Per-process cache of generated graph instances, keyed by
-#: ``(family, max_weight, n, seed)`` — the full determinant of an instance.
-#: Bounded FIFO so long ad-hoc sweeps cannot grow it without limit.
-_GRAPH_CACHE: dict[tuple, object] = {}
-_GRAPH_CACHE_CAP = 64
-
-
 def clear_graph_cache() -> None:
-    """Drop the per-process graph cache (test hook)."""
-    _GRAPH_CACHE.clear()
+    """Do nothing: no graph outlives the cell group that built it.
 
-
-def _cached_graph(scenario: Scenario, n: int, seed: int):
-    key = scenario.instance_key(n, seed)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
-        graph = scenario.build_graph(n, seed)
-        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_CAP:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        _GRAPH_CACHE[key] = graph
-    return graph
+    Kept because ``perfbench/workloads.py`` calls it before each pass.
+    """
 
 
 def _run_cell(
@@ -439,9 +422,8 @@ def _run_cell(
     ``stop_reason``/``virtual_time``.  Fault-free unbounded rows carry
     none of these, keeping them byte-identical to pre-fault stores.
 
-    ``graph`` is the cell's instance when the caller already holds it (a
-    sweep worker's attached shared-memory graph); otherwise the cell takes
-    it from the per-process cache.
+    ``graph`` is the cell's instance when the caller already holds it (its
+    cell group's graph); otherwise the cell builds it.
     """
     scenario = get_scenario(name)
     effective_latency = (
@@ -462,7 +444,7 @@ def _run_cell(
     # build and the driver run, never inside them.
     current_backend()
     if graph is None:
-        graph = _cached_graph(scenario, n, seed)
+        graph = scenario.build_graph(n, seed)
     metrics = Metrics()
     driver = get_algorithm_spec(scenario.algorithm).resolve()
     try:
@@ -541,10 +523,9 @@ def run_scenario(
     point does *not* gate ``fault_model`` on the algorithm's declared
     tolerance — it is the hands-on API for probing exactly how an
     undeclared protocol breaks (the sweep's gate lives in
-    :func:`repro.api.run_sweep_spec`).  The graph instance comes from the
-    per-process cache, so scenarios that share a family/size/seed cell
-    reuse one graph (and its indexed view).  Drivers must not mutate it —
-    the library-wide append-only convention.
+    :func:`repro.api.run_sweep_spec`).  Each call builds its own graph
+    instance; drivers must not mutate it — the library-wide append-only
+    convention.
     """
     row, _ = _run_cell(
         name, n, seed, engine=engine, latency_model=latency_model,
@@ -566,9 +547,13 @@ def _run_cell_group(
     validated :class:`~repro.api.SweepSpec` ``spec`` carries the
     sweep-level engine, latency and fault overrides, applied uniformly to
     every cell of the group.  Every cell of a group runs on one graph
-    instance; ``graph``, when given, is that instance (see
-    :func:`_run_cell`).
+    instance: ``graph`` when given (a sweep worker's attached segment),
+    else one built here, before the first cell.  It lives as long as the
+    group.
     """
+    if graph is None:
+        _, name, n, seed = group[0]
+        graph = get_scenario(name).build_graph(n, seed)
     out = []
     for index, name, n, seed in group:
         row, metrics = _run_cell(

@@ -23,6 +23,9 @@ Ownership and cleanup — the part that must survive every failure mode:
   driver errors, and Ctrl-C alike.  If the supervisor itself is SIGKILLed,
   its ``resource_tracker`` daemon (which outlives it precisely for this)
   unlinks the registered segments.
+* A worker closes its mapping as soon as it has unpacked the columns:
+  the rebuilt graph holds its own copies, so no segment stays mapped in
+  a worker beyond one attach.
 * Workers never unlink.  :class:`SharedMemory` registers every open with
   the resource tracker (attaches too, not just creates — CPython
   gh-82300), but the plane only runs under the ``fork`` start method, so
@@ -65,10 +68,6 @@ _WORD = 8  # int64 column width
 
 #: Segments published by THIS process (name -> SharedGraphHandle).
 _PUBLISHED: dict[str, "SharedGraphHandle"] = {}
-
-#: Segments attached by THIS process; kept open for the process lifetime,
-#: so a second attach of one segment skips the open.
-_ATTACHED: dict[str, object] = {}
 
 
 def available() -> bool:
@@ -155,7 +154,8 @@ def attach_graph(name: str):
     The returned graph's ``_adj`` rows are laid out in CSR order, so the
     rebuilt adjacency — and any view derived from it — is byte-identical
     to the publisher's.  Its cached indexed view is seeded directly from
-    the CSR tuples unpacked from the mapped buffer.
+    the CSR tuples unpacked from the mapped buffer, which is closed again
+    before this returns.
     Returns ``None`` when the segment cannot be attached; callers fall
     back to building the graph locally.
     """
@@ -164,31 +164,30 @@ def attach_graph(name: str):
     from ..graphs.indexed import IndexedGraph
     from ..graphs.weighted_graph import Graph
 
-    shm = _ATTACHED.get(name)
-    if shm is None:
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except Exception:
-            return None
-        # SharedMemory registers with the resource tracker on *attach* as
-        # well as create (CPython gh-82300).  The plane only runs under
-        # the fork start method, so this worker shares the supervisor's
-        # tracker daemon and the attach-side register is an idempotent
-        # set-add there,
-        # not a second owner.  Do NOT unregister here: the daemon holds
-        # one entry per name, and unregistering from N workers would
-        # double-remove it and strip the supervisor-SIGKILL backstop.
-        _ATTACHED[name] = shm
-    buf = shm.buf
-    n, ports, blob_len = _HEADER.unpack_from(buf, 0)
-    offset = _HEADER.size
-    indptr_end = offset + (n + 1) * _WORD
-    nbr_end = indptr_end + ports * _WORD
-    wt_end = nbr_end + ports * _WORD
-    labels = pickle.loads(bytes(buf[wt_end : wt_end + blob_len]))
-    indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
-    nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
-    wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except Exception:
+        return None
+    # SharedMemory registers with the resource tracker on *attach* as
+    # well as create (CPython gh-82300).  The plane only runs under the
+    # fork start method, so this worker shares the supervisor's tracker
+    # daemon and the attach-side register is an idempotent set-add there,
+    # not a second owner.  Do NOT unregister here: the daemon holds one
+    # entry per name, and unregistering from N workers would double-remove
+    # it and strip the supervisor-SIGKILL backstop.
+    try:
+        buf = shm.buf
+        n, ports, blob_len = _HEADER.unpack_from(buf, 0)
+        offset = _HEADER.size
+        indptr_end = offset + (n + 1) * _WORD
+        nbr_end = indptr_end + ports * _WORD
+        wt_end = nbr_end + ports * _WORD
+        labels = pickle.loads(bytes(buf[wt_end : wt_end + blob_len]))
+        indptr = struct.unpack_from(f"<{n + 1}q", buf, offset)
+        nbr = struct.unpack_from(f"<{ports}q", buf, indptr_end)
+        wt = struct.unpack_from(f"<{ports}q", buf, nbr_end)
+    finally:
+        shm.close()
     indexed = IndexedGraph.from_csr(labels, indptr, nbr, wt)
     graph = Graph()
     adj = graph._adj

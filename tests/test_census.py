@@ -75,8 +75,8 @@ CAUGHT_AT_RUN_TIME = {
          'tests/test_event_differential.py::test_every_scenario_row_identical_under_event_engine[apsp/er]', [
         ('import hashlib\nimport json\n',
          'import hashlib\nimport json\nimport time\n'),
-        ('    graph = _cached_graph(scenario, n, seed)\n    metrics = Metrics()',
-         '    graph = _cached_graph(scenario, n, seed)\n    started = time.perf_counter()\n    metrics = Metrics()'),
+        ('    graph = scenario.build_graph(n, seed)\n    metrics = Metrics()',
+         '    graph = scenario.build_graph(n, seed)\n    started = time.perf_counter()\n    metrics = Metrics()'),
         ('    merged = dict(extras) if extras else {}\n',
          '    merged = dict(extras) if extras else {}\n    merged["wall_ms"] = int(1000 * (time.perf_counter() - started))\n'),
     ]),

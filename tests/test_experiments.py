@@ -13,7 +13,6 @@ from repro.sim.experiments import (
     ROW_FIELDS,
     Scenario,
     SweepError,
-    clear_graph_cache,
     get_scenario,
     list_algorithms,
     list_scenarios,
@@ -146,45 +145,85 @@ class TestSweepDeterminism:
         assert len(first) == 2 * len(list_scenarios())
 
 
-class TestGraphCache:
-    def test_cells_sharing_an_instance_reuse_one_graph(self):
+class TestGraphOwnership:
+    def test_a_group_builds_its_graph_once(self, monkeypatch):
+        builds = []
+        build_graph = Scenario.build_graph
+
+        def counting(scenario, n, seed):
+            builds.append(scenario.instance_key(n, seed))
+            return build_graph(scenario, n, seed)
+
+        monkeypatch.setattr(Scenario, "build_graph", counting)
+        # bellman-ford/er and dijkstra/er share every instance: one build
+        # per (size, seed) group serves both cells.
+        rows = sweep(["bellman-ford/er", "dijkstra/er"], sizes=(9, 13), seeds=(0, 1))
+        assert len(rows) == 8
+        assert len(builds) == len(set(builds)) == 4
+
+    def test_run_scenario_builds_afresh_each_call(self, monkeypatch):
+        builds = []
+        build_graph = Scenario.build_graph
+
+        def counting(scenario, n, seed):
+            builds.append(scenario.instance_key(n, seed))
+            return build_graph(scenario, n, seed)
+
+        monkeypatch.setattr(Scenario, "build_graph", counting)
+        # No graph outlives its group: each run_scenario call builds anew.
+        first = run_scenario("dijkstra/er", 14, seed=3)
+        second = run_scenario("dijkstra/er", 14, seed=3)
+        assert len(builds) == 2
+        assert first == second
+
+    def test_a_group_given_its_graph_builds_none(self, monkeypatch):
+        # A sweep worker hands _run_cell_group the graph it attached; the
+        # group must run every cell on it and build nothing itself.
         from repro.sim import experiments
 
-        clear_graph_cache()
-        # Same family / max_weight / size / seed across two scenarios ->
-        # one cached instance serves both cells.
-        run_scenario("bellman-ford/er", 14, seed=3)
-        assert len(experiments._GRAPH_CACHE) == 1
-        run_scenario("dijkstra/er", 14, seed=3)
-        assert len(experiments._GRAPH_CACHE) == 1
-        run_scenario("dijkstra/er", 14, seed=4)  # new seed -> new instance
-        assert len(experiments._GRAPH_CACHE) == 2
-        clear_graph_cache()
+        graph = get_scenario("dijkstra/er").build_graph(11, 2)
+        monkeypatch.setattr(
+            Scenario, "build_graph",
+            lambda *args: pytest.fail("group rebuilt a graph it was given"),
+        )
+        group = [(0, "bellman-ford/er", 11, 2), (1, "dijkstra/er", 11, 2)]
+        out = experiments._run_cell_group(group, SweepSpec(), False, graph=graph)
+        assert [index for index, _, _ in out] == [0, 1]
+        monkeypatch.undo()
+        assert [row for _, row, _ in out] == [
+            run_scenario("bellman-ford/er", 11, seed=2),
+            run_scenario("dijkstra/er", 11, seed=2),
+        ]
 
-    def test_rows_identical_with_cold_and_warm_cache(self):
+    def test_no_module_level_map_holds_a_graph(self):
+        from repro.graphs.weighted_graph import Graph
+        from repro.sim import experiments
+
+        sweep(["bellman-ford/er", "bfs/grid"], sizes=(9,), seeds=(0, 1))
+        run_scenario("dijkstra/er", 10, seed=5)
+        for name, value in vars(experiments).items():
+            if isinstance(value, dict):
+                assert not any(isinstance(v, Graph) for v in value.values()), name
+
+    def test_clear_graph_cache_is_a_noop(self):
+        # perfbench's run_pass still calls it before each pass.
+        from repro.sim.experiments import clear_graph_cache
+
+        before = run_scenario("bfs/grid", 9, seed=1)
+        assert clear_graph_cache() is None
+        assert run_scenario("bfs/grid", 9, seed=1) == before
+
+    def test_rows_identical_across_repeated_sweeps(self):
         scenarios = ["bellman-ford/er", "dijkstra/er", "bfs/grid"]
-        clear_graph_cache()
-        cold = sweep(scenarios, sizes=(10, 14), seeds=(0, 1))
-        warm = sweep(scenarios, sizes=(10, 14), seeds=(0, 1))
-        clear_graph_cache()
-        fresh = sweep(scenarios, sizes=(10, 14), seeds=(0, 1))
-        assert cold == warm == fresh
+        first = sweep(scenarios, sizes=(10, 14), seeds=(0, 1))
+        second = sweep(scenarios, sizes=(10, 14), seeds=(0, 1))
+        assert first == second
 
-    def test_cache_determinism_across_worker_counts(self):
+    def test_rows_identical_across_worker_counts(self):
         scenarios = ["bellman-ford/er", "dijkstra/er"]
-        clear_graph_cache()
         sequential = sweep(scenarios, sizes=(9, 13), seeds=(0, 1), workers=1)
         parallel = sweep(scenarios, sizes=(9, 13), seeds=(0, 1), workers=4)
         assert sequential == parallel
-
-    def test_cache_is_bounded(self):
-        from repro.sim import experiments
-
-        clear_graph_cache()
-        for seed in range(experiments._GRAPH_CACHE_CAP + 8):
-            run_scenario("bfs/grid", 9, seed=seed)
-        assert len(experiments._GRAPH_CACHE) <= experiments._GRAPH_CACHE_CAP
-        clear_graph_cache()
 
 
 class TestAnalysisWiring:

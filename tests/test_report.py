@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import _ORDER, compile_report, write_report
+from repro.analysis.report import _ORDER, compile_report
 
 
 @pytest.fixture
@@ -34,11 +34,6 @@ class TestCompile:
         empty.mkdir()
         with pytest.raises(FileNotFoundError):
             compile_report(empty)
-
-    def test_write_report(self, results_dir, tmp_path):
-        out = write_report(results_dir, tmp_path / "report.md")
-        assert out.exists()
-        assert "# Recorded experiment tables" in out.read_text()
 
     def test_real_results_if_present(self):
         from pathlib import Path

@@ -81,6 +81,20 @@ def no_leaks():
 pytestmark = pytest.mark.skipif(not shm.available(), reason="no shared memory")
 
 
+def assert_same_graph(attached, graph):
+    assert list(attached.nodes()) == list(graph.nodes())
+    for u in graph.nodes():
+        # Insertion order AND weights — drivers iterate by label.
+        assert list(attached.neighbors(u)) == list(graph.neighbors(u))
+        assert all(
+            attached.weight(u, v) == graph.weight(u, v)
+            for v in graph.neighbors(u)
+        )
+    assert attached.num_edges == graph.num_edges
+    a, b = IndexedGraph.of(attached), IndexedGraph.of(graph)
+    assert (a.labels, a.indptr, a.nbr, a.wt) == (b.labels, b.indptr, b.nbr, b.wt)
+
+
 class TestRoundTrip:
     def test_attached_graph_is_byte_identical(self, no_leaks):
         graph = random_connected_graph(40, 0.1, seed=9)
@@ -90,18 +104,7 @@ class TestRoundTrip:
         try:
             attached = shm.attach_graph(handle.name)
             assert attached is not None
-            assert list(attached.nodes()) == list(graph.nodes())
-            for u in graph.nodes():
-                # Insertion order AND weights — drivers iterate by label.
-                assert list(attached.neighbors(u)) == list(graph.neighbors(u))
-                assert all(
-                    attached.weight(u, v) == graph.weight(u, v)
-                    for v in graph.neighbors(u)
-                )
-            assert attached.num_edges == graph.num_edges
-            a, b = IndexedGraph.of(attached), IndexedGraph.of(graph)
-            assert (a.labels, a.indptr, a.nbr, a.wt) == (
-                b.labels, b.indptr, b.nbr, b.wt)
+            assert_same_graph(attached, graph)
         finally:
             handle.unlink()
         assert shm.active_segments() == []
@@ -120,6 +123,35 @@ class TestRoundTrip:
         finally:
             handle.unlink()
 
+    def test_attach_closes_the_segment_it_opens(self, no_leaks, monkeypatch):
+        # A worker keeps no segment mapped past the attach, and the graph
+        # it returns owns its data: it still equals the publisher's after
+        # the segment is gone.
+        from multiprocessing import shared_memory
+
+        opened, closed = [], []
+
+        class Recording(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        graph = random_connected_graph(30, 0.15, seed=4)
+        handle = shm.publish_graph(graph)
+        monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+        try:
+            attached = [shm.attach_graph(handle.name) for _ in range(3)]
+        finally:
+            handle.unlink()
+        assert len(opened) == 3
+        assert closed == opened
+        for copy in attached:
+            assert_same_graph(copy, graph)
+
     def test_unlink_is_idempotent(self, no_leaks):
         handle = shm.publish_graph(random_connected_graph(6, 0.5, seed=0))
         handle.unlink()
@@ -129,12 +161,11 @@ class TestRoundTrip:
     def test_attach_missing_segment_returns_none(self, no_leaks):
         assert shm.attach_graph("psm_definitely_not_there") is None
 
-    def test_cached_graph_falls_back_when_segment_is_gone(self, no_leaks, monkeypatch):
+    def test_group_builds_its_graph_when_segment_is_gone(self, no_leaks, monkeypatch):
         # A worker that cannot attach its group's segment builds the graph
         # locally; the rows cannot tell.  Workers fork after the patch.
         spec = dict(TestSweepCleanup.SPEC)
         serial = run_sweep_spec(SweepSpec(**spec, workers=1))
-        experiments.clear_graph_cache()
         monkeypatch.setattr(shm, "attach_graph", lambda name: None)
         assert run_sweep_spec(SweepSpec(**spec, workers=3)) == serial
 
